@@ -59,8 +59,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--backend",
         choices=("serial", "threads", "processes"),
         default=None,
-        help="run the batch through the parallel engine with this "
-        "execution backend (default: serial translator)",
+        help="execution backend of the batch engine (default: serial)",
     )
     translate.add_argument(
         "--workers",
@@ -87,9 +86,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--record-layout",
         choices=("objects", "columnar"),
         default=None,
-        help="phase-one record layout: 'objects' walks per-record objects "
-        "(default), 'columnar' runs the bit-for-bit-equivalent flat-array "
-        "fast path; requires --backend",
+        help="phase-one record layout: 'columnar' runs the flat-array "
+        "kernels (default), 'objects' the bit-for-bit-equivalent per-record "
+        "reference pipeline; requires --backend",
     )
     translate.add_argument(
         "--telemetry-dump",
@@ -139,7 +138,7 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=("objects", "columnar"),
         default=None,
         help="phase-one record layout for every venue's windows (default: "
-        "objects; 'columnar' is bit-for-bit equivalent and faster)",
+        "columnar; 'objects' is the bit-for-bit-equivalent reference)",
     )
     serve.add_argument(
         "--retention",
@@ -331,13 +330,13 @@ def _cmd_validate(args) -> None:
 
 def _cmd_translate(args) -> None:
     from .config import load_task, run_task
-
+    from .engine import EngineConfig
     from .errors import ConfigError
 
-    engine = None
+    # No --backend still means the engine, with its defaults: the plain
+    # command runs the default pipeline, not the reference translator.
+    engine = EngineConfig()
     if args.backend is not None:
-        from .engine import EngineConfig
-
         kwargs = {"backend": args.backend, "workers": args.workers}
         if args.chunk_size is not None:
             kwargs["chunk_size"] = args.chunk_size
@@ -354,8 +353,8 @@ def _cmd_translate(args) -> None:
     ):
         raise ConfigError(
             "--workers/--chunk-size/--knowledge-build/--record-layout tune "
-            "the parallel engine; pass --backend (serial, threads or "
-            "processes) to enable it"
+            "an explicitly chosen engine; name its --backend (serial, "
+            "threads or processes) as well"
         )
     config = load_task(args.config)
     with _telemetry_session(dump_path=args.telemetry_dump):

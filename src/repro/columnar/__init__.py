@@ -1,8 +1,9 @@
-"""Columnar phase-one hot path: record batches and exact kernels.
+"""Columnar phase one, the default pipeline: record batches and exact kernels.
 
-The translation pipeline's phase one (clean + annotate) normally walks
-per-record ``RawPositioningRecord`` objects.  This package provides a
-columnar alternative: :class:`RecordBatch` holds one window of records as
+The reference implementation of phase one (clean + annotate,
+``repro.core.translator.run_phase_one_chunk``) walks per-record
+``RawPositioningRecord`` objects.  This package is what the engine runs
+instead: :class:`RecordBatch` holds one window of records as
 parallel arrays (stdlib ``array`` columns, zero-copy numpy views when
 numpy is available), and the kernels in :mod:`repro.columnar.kernels`
 run the profiled hot loops — speed-constraint cleaning, point-in-region
@@ -17,15 +18,17 @@ bits included — to ``run_phase_one_chunk``'s output, across buildings,
 engine backends, knowledge-build modes and retention policies.  The
 kernels achieve this by replicating the object model's arithmetic
 expression for expression (``math.hypot`` distances, tolerance checks,
-tie-break scan orders) and using vectorization only for comparison-based
-candidate prefiltering, never for float arithmetic that reaches a
-decision.  ``tests/test_columnar_equivalence.py`` proves the claim with
-a differential hypothesis suite; ``selftest`` guards CI against the fast
+tie-break scan orders) and using vectorization only for comparisons —
+bounding-box masks, and the rectangle identity that lets a mask *be* the
+containment answer — never for float arithmetic that reaches a decision.
+``tests/test_columnar_equivalence.py`` proves the claim with a
+differential hypothesis suite; ``selftest`` guards CI against the fast
 path being silently skipped.
 
-Select the layout with ``EngineConfig.record_layout`` (default
-``"objects"``), the ``TRIPS_RECORD_LAYOUT`` environment variable, or the
-CLI's ``--record-layout`` flag.
+``EngineConfig.record_layout`` defaults to ``"columnar"``; ``"objects"``
+selects the reference oracle (also via the ``TRIPS_RECORD_LAYOUT``
+environment variable or the CLI's ``--record-layout`` flag), and
+``Translator.translate_batch`` always runs it.
 """
 
 from .batch import NUMPY_AVAILABLE, RecordBatch

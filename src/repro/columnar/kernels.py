@@ -5,17 +5,18 @@ overrides *only* the point-location / distance seam the profile
 (``benchmarks/profiles/``) showed dominating phase one:
 
 * :class:`ColumnarSpeedValidator` — ``SpeedValidator`` with memoized
-  locates through a :class:`~repro.columnar.locate.LocatorSession` and a
-  per-pair feasibility memo.  Every arithmetic expression on the decision
-  path (``math.hypot`` planar distances, the nav-graph
-  ``entry + through + exit_leg`` sums, the floor-cost subtraction) is the
-  original's, evaluated in the original order, so every feasibility
-  verdict is bit-for-bit identical.
-* :class:`ColumnarCleaner` — ``RawDataCleaner`` behind an all-feasible
-  fast path: the common case (every consecutive transition feasible)
-  returns the no-op cleaning result without running repair bookkeeping;
-  anything else delegates to a real cleaner whose validator and floor
-  corrector share the memoized session, so re-checks cost a dict hit.
+  locates through a :class:`~repro.columnar.locate.LocatorSession`, an
+  identity-keyed per-pair feasibility memo, and ``Topology._route``'s
+  search with the per-``node_b`` exit legs hoisted out of the ``node_a``
+  loop.  Every arithmetic expression on the decision path (``math.hypot``
+  planar distances, the nav-graph ``entry + through + exit_leg`` sums, the
+  floor-cost subtraction) is the original's, evaluated in the original
+  order, so every feasibility verdict is bit-for-bit identical.
+* :class:`ColumnarCleaner` — ``RawDataCleaner`` rewired, not rewritten:
+  the inherited detect-and-repair loop runs against the memoizing
+  validator, and its floor corrector and interpolator locate and route
+  through the same session (their ``locator=`` / ``router=`` seams), so
+  re-checks and repair probes cost a dict hit.
 * :class:`ColumnarSplitter` — ``DensitySplitter`` whose ``_core_flags``
   (the O(n·k) density loop) runs over flat timestamp/x/y/floor lists
   with the identical near-before-gap condition order.
@@ -37,13 +38,11 @@ import math
 from array import array
 from typing import Iterable
 
-from ..core.cleaning import (
-    CleaningConfig,
-    CleaningReport,
-    CleaningResult,
-    RawDataCleaner,
-)
+import networkx as nx
+
+from ..core.cleaning import CleaningConfig, RawDataCleaner
 from ..core.cleaning.floor import FloorCorrector
+from ..core.cleaning.interpolation import LocationInterpolator
 from ..core.cleaning.speed import SpeedValidator
 from ..core.annotation.spatial import SpatialMatcher
 from ..core.annotation.splitting import DensitySplitter
@@ -52,7 +51,7 @@ from ..core.complementing.knowledge import DEFAULT_TRANSITION_GAP
 from ..core.semantics import EVENT_STAY, MobilitySemanticsSequence
 from ..dsm import DigitalSpaceModel, Topology
 from ..geometry import Point
-from ..positioning import PositioningSequence, RawPositioningRecord
+from ..positioning import RawPositioningRecord
 from .locate import LocatorSession
 
 _hypot = math.hypot
@@ -65,7 +64,9 @@ class ColumnarSpeedValidator(SpeedValidator):
     resolve partitions through the locator session, and memoizes
     ``transition_feasible`` per record pair — the cleaner legitimately
     re-checks pairs (leading-outlier probe, lookahead anchors), and the
-    verdict is a pure function of the two records.
+    verdict is a pure function of the two records.  :meth:`walking_path`
+    makes the validator the interpolator's ``router``, so repair routes
+    locate their endpoints through the same session.
     """
 
     def __init__(
@@ -73,20 +74,27 @@ class ColumnarSpeedValidator(SpeedValidator):
     ):
         super().__init__(topology, max_speed)
         self.session = session
+        # Keyed on object identity: hashing two frozen records per lookup
+        # cost more than the lookup saved.  The value pins both records, so
+        # an id cannot be recycled for a different fix while its entry
+        # lives, and records are immutable — same objects, same verdict.
+        # Equal-but-distinct records merely recompute.
         self._feasible_memo: dict[
-            tuple[RawPositioningRecord, RawPositioningRecord], bool
+            tuple[int, int],
+            tuple[bool, RawPositioningRecord, RawPositioningRecord],
         ] = {}
-        self._snap_memo: dict[tuple[float, float, int], str | None] = {}
+        self._node_paths: dict[tuple[str, str], list[str]] = {}
 
     def transition_feasible(
         self, previous: RawPositioningRecord, current: RawPositioningRecord
     ) -> bool:
-        key = (previous, current)
+        key = (id(previous), id(current))
         memo = self._feasible_memo
-        verdict = memo.get(key)
-        if verdict is None:
-            verdict = super().transition_feasible(previous, current)
-            memo[key] = verdict
+        hit = memo.get(key)
+        if hit is not None:
+            return hit[0]
+        verdict = super().transition_feasible(previous, current)
+        memo[key] = (verdict, previous, current)
         return verdict
 
     def indoor_distance(
@@ -95,7 +103,7 @@ class ColumnarSpeedValidator(SpeedValidator):
         a, b = previous.location, current.location
         if a.floor == b.floor and self._straight_allowed(a, b):
             return a.planar_distance_to(b)
-        return self._walking_distance(a, b)
+        return self._route(a, b)[0]
 
     def _straight_allowed(self, a: Point, b: Point) -> bool:
         # Topology.straight_move_allowed with memoized partition_at calls.
@@ -111,63 +119,92 @@ class ColumnarSpeedValidator(SpeedValidator):
         mid_y = (a.y + b.y) / 2.0
         return session.entity_contains(part_a, mid_x, mid_y)
 
-    def _walking_distance(self, a: Point, b: Point) -> float:
-        # Topology._route(want_path=False) verbatim, with _locate memoized.
-        # Left-associative entry + through + exit_leg and the strict <
-        # best-tracking are kept as-is: summation order decides bits.
+    def _route(
+        self, a: Point, b: Point
+    ) -> tuple[float, tuple[str, str] | None]:
+        """``Topology._route``'s search: the distance and the nav-node pair
+        that realizes it (``None`` when the route is direct or absent).
+
+        The arithmetic is the original's: ``entry + through + exit_leg``
+        stays left-associative and the strict ``<`` keeps the first best
+        pair, because summation order decides bits.  Only the exit legs
+        moved — they depend on ``node_b`` alone, so they are measured once
+        per ``node_b`` instead of once per ``(node_a, node_b)`` pair, with
+        ``planar_distance_to``'s own ``hypot`` of the same differences.
+        """
         topology = self.topology
         part_a = self._locate_id(a)
         part_b = self._locate_id(b)
         if part_a is None or part_b is None:
-            return math.inf
+            return math.inf, None
         if part_a == part_b:
-            return a.planar_distance_to(b) + (
-                0.0 if a.floor == b.floor else math.inf
+            return (
+                a.planar_distance_to(b)
+                + (0.0 if a.floor == b.floor else math.inf),
+                None,
             )
         nodes_a = topology._nav_nodes_by_partition.get(part_a, [])
         nodes_b = topology._nav_nodes_by_partition.get(part_b, [])
         if not nodes_a or not nodes_b:
-            return math.inf
+            return math.inf, None
         anchors = topology._nav_anchor
+        ax, ay = a.x, a.y
+        bx, by = b.x, b.y
+        exits = []
+        for node_b in nodes_b:
+            anchor = anchors[node_b]
+            exits.append((node_b, _hypot(anchor.x - bx, anchor.y - by)))
         best = math.inf
+        best_pair = None
         for node_a in nodes_a:
             lengths = topology._lengths_from(node_a)
-            entry = a.planar_distance_to(anchors[node_a])
-            for node_b in nodes_b:
+            anchor = anchors[node_a]
+            entry = _hypot(ax - anchor.x, ay - anchor.y)
+            for node_b, exit_leg in exits:
                 through = lengths.get(node_b)
                 if through is None:
                     continue
-                exit_leg = anchors[node_b].planar_distance_to(b)
                 total = entry + through + exit_leg
                 if total < best:
                     best = total
-        return best
+                    best_pair = (node_a, node_b)
+        return best, best_pair
+
+    def walking_path(self, start: Point, goal: Point) -> list[Point]:
+        """``Topology.walking_path`` over the session-located route."""
+        distance, pair = self._route(start, goal)
+        if not math.isfinite(distance):
+            return []
+        if pair is None:
+            return [start, goal]
+        topology = self.topology
+        node_path = self._node_paths.get(pair)
+        if node_path is None:
+            node_path = nx.dijkstra_path(topology.nav_graph, *pair)
+            self._node_paths[pair] = node_path
+        anchors = topology._nav_anchor
+        return [start] + [anchors[node] for node in node_path] + [goal]
 
     def _locate_id(self, point: Point) -> str | None:
-        # Topology._locate with the containment lookup memoized; the rare
-        # snap fallback goes through the model (and its own memo).
-        entity = self.session.partition_entity(point.x, point.y, point.floor)
+        # Topology._locate through the session: containment first, then
+        # the (rare) 5 m snap.
+        session = self.session
+        entity = session.partition_entity(point.x, point.y, point.floor)
         if entity is not None:
             return entity.entity_id
-        key = (point.x, point.y, point.floor)
-        memo = self._snap_memo
-        if key in memo:
-            return memo[key]
-        snapped = self.topology.model.nearest_partition(point, 5.0)
-        result = None if snapped is None else snapped[0].entity_id
-        memo[key] = result
-        return result
+        snapped = session.nearest_partition(point, 5.0)
+        return None if snapped is None else snapped[0].entity_id
 
 
-class ColumnarCleaner:
-    """``RawDataCleaner`` with an all-feasible fast path.
+class ColumnarCleaner(RawDataCleaner):
+    """``RawDataCleaner`` with every geometry question on one session.
 
-    Simulated and well-behaved real feeds are overwhelmingly clean: one
-    memoized sweep over consecutive pairs proves there is nothing to
-    repair, and the result is the exact no-op the object cleaner would
-    build (empty report, record objects untouched).  Dirty sequences
-    delegate to the wrapped cleaner — same detection anchors, same repair
-    order — whose feasibility re-checks hit the pair memo.
+    Detection, repair order and bookkeeping are the inherited loop's; only
+    the collaborators change: the memoizing validator, and a floor
+    corrector and interpolator that locate (``locator=``) and route
+    (``router=``) through the chunk's session instead of the model, so a
+    repair's ``partition_at`` / ``nearest_partition`` probes share the memo
+    the prime filled.
     """
 
     def __init__(
@@ -176,28 +213,13 @@ class ColumnarCleaner:
         config: CleaningConfig,
         validator: ColumnarSpeedValidator,
     ):
+        super().__init__(topology, config)
+        session = validator.session
         self.validator = validator
-        self._inner = RawDataCleaner(topology, config)
-        self._inner.validator = validator
-        self._inner._floor_corrector = FloorCorrector(validator)
-
-    def clean(self, sequence: PositioningSequence) -> CleaningResult:
-        records = sequence.records
-        n = len(records)
-        if n < 2:
-            return CleaningResult(
-                sequence, sequence, CleaningReport(total_records=n)
-            )
-        feasible = self.validator.transition_feasible
-        if all(feasible(records[i - 1], records[i]) for i in range(1, n)):
-            # The object path would append every record unchanged and call
-            # with_records on the same objects; replicate that result.
-            return CleaningResult(
-                sequence,
-                sequence.with_records(list(records)),
-                CleaningReport(total_records=n),
-            )
-        return self._inner.clean(sequence)
+        self._floor_corrector = FloorCorrector(validator, session)
+        self._interpolator = LocationInterpolator(
+            topology, locator=session, router=validator
+        )
 
 
 class ColumnarSplitter(DensitySplitter):

@@ -4,7 +4,9 @@
 :func:`repro.core.translator.run_phase_one_chunk`: same signature, same
 :class:`~repro.core.translator.PhaseOneChunk` result, proven bit-for-bit
 equal by ``tests/test_columnar_equivalence.py``.  The engine dispatches
-between the two on ``EngineConfig.record_layout``.
+between the two on ``EngineConfig.record_layout``; this one is the
+default, and the object-model runner is the reference it is checked
+against.
 
 Per chunk it columnarizes the sequences into one
 :class:`~repro.columnar.batch.RecordBatch`, bulk-primes a
@@ -13,17 +15,18 @@ fast path when available), and runs the cleaning/annotation kernels of
 :mod:`repro.columnar.kernels` against the shared session.
 
 :data:`CHUNKS_RUN` counts executed columnar chunks and :func:`selftest`
-asserts end-to-end equality on an inline micro-venue — CI's guard that the
-``layout=columnar`` matrix leg cannot silently fall back to the object
-path (for example through an import guard swallowing numpy).
+asserts end-to-end equality on an inline micro-venue — CI's guard, run on
+every matrix leg, that the default pipeline cannot silently fall back to
+the object path (for example through an import guard swallowing numpy).
 """
 
 from __future__ import annotations
 
+import copy
+import threading
 from collections import OrderedDict
 
 from ..core.annotation import MobilitySemanticsAnnotator
-from ..core.cleaning import CleaningReport, CleaningResult
 from ..core.translator import PhaseOneChunk, Translator
 from ..dsm import DigitalSpaceModel
 from ..positioning import PositioningSequence
@@ -39,7 +42,7 @@ from .kernels import (
 from .locate import PointLocator
 
 #: Columnar chunks executed in this process; the CI selftest checks it
-#: advances, so the columnar leg cannot silently run the object path.
+#: advances, so the default pipeline cannot silently run the object path.
 CHUNKS_RUN = 0
 
 #: One prepared locator per model; sessions (and their memos) are per
@@ -50,19 +53,25 @@ CHUNKS_RUN = 0
 #: entry exists — the identity guard below is pure belt and braces.
 _locators: "OrderedDict[int, PointLocator]" = OrderedDict()
 _MAX_LOCATORS = 8
+#: Chunks of several venues run concurrently on the ``threads`` backend:
+#: lookup, insert and evict are one critical section, so an eviction cannot
+#: land between another thread's ``get`` and ``move_to_end``, and a model
+#: gets exactly one locator however many threads ask for it first.
+_locators_lock = threading.Lock()
 
 
 def _locator_for(model: DigitalSpaceModel) -> PointLocator:
     key = id(model)
-    locator = _locators.get(key)
-    if locator is not None and locator.model is model:
-        _locators.move_to_end(key)
+    with _locators_lock:
+        locator = _locators.get(key)
+        if locator is not None and locator.model is model:
+            _locators.move_to_end(key)
+            return locator
+        locator = PointLocator(model)
+        _locators[key] = locator
+        while len(_locators) > _MAX_LOCATORS:
+            _locators.popitem(last=False)
         return locator
-    locator = PointLocator(model)
-    _locators[key] = locator
-    while len(_locators) > _MAX_LOCATORS:
-        _locators.popitem(last=False)
-    return locator
 
 
 def run_phase_one_chunk_columnar(
@@ -70,7 +79,7 @@ def run_phase_one_chunk_columnar(
     sequences: list[PositioningSequence],
     emit_partial: bool = False,
 ) -> PhaseOneChunk:
-    """Phase one for a chunk of sequences on the columnar fast path.
+    """Phase one for a chunk of sequences on the columnar kernels.
 
     Exactly equivalent to ``run_phase_one_chunk``: identical
     cleaning/annotation results pair for pair, identical knowledge shard.
@@ -86,23 +95,28 @@ def run_phase_one_chunk_columnar(
     validator = ColumnarSpeedValidator(
         topology, config.cleaning.max_speed, session
     )
-    cleaner = ColumnarCleaner(topology, config.cleaning, validator)
     annotator = MobilitySemanticsAnnotator(
         translator.model, translator.annotator.event_model, config.annotation
     )
     annotator.splitter = ColumnarSplitter(config.annotation.splitter)
     annotator.matcher = ColumnarSpatialMatcher(translator.model, session)
 
-    pairs = []
-    for sequence in sequences:
-        if config.enable_cleaning:
-            cleaning = cleaner.clean(sequence)
-        else:
-            cleaning = CleaningResult(
-                sequence, sequence, CleaningReport(total_records=len(sequence))
-            )
-        annotation = annotator.annotate(cleaning.cleaned)
-        pairs.append((cleaning, annotation))
+    # The per-sequence step stays ``clean_and_annotate``, on a copy of the
+    # caller's translator — same class, model and config — whose two layer
+    # objects are this chunk's session-backed ones.  A subclass that wraps
+    # the step (the ledger's traced translator times cleaning and
+    # annotation apart there) therefore wraps the columnar layers, exactly
+    # as it wraps the object ones under ``run_phase_one_chunk``; calling
+    # the step on the caller's own translator would instead put its
+    # object-model cleaner back under this runner.
+    chunk_translator = copy.copy(translator)
+    chunk_translator.cleaner = ColumnarCleaner(
+        topology, config.cleaning, validator
+    )
+    chunk_translator.annotator = annotator
+    pairs = [
+        chunk_translator.clean_and_annotate(sequence) for sequence in sequences
+    ]
 
     partial = None
     if emit_partial:
@@ -145,7 +159,8 @@ def _micro_venue() -> DigitalSpaceModel:
 
 
 def _micro_feed() -> list[PositioningSequence]:
-    """Deterministic sequences: a dwell, a walk, and a dirty jump."""
+    """Deterministic sequences: a dwell, a walk, and a dirty one (a floor
+    flap and a teleport)."""
     from ..geometry import Point
     from ..positioning import RawPositioningRecord
 
@@ -153,14 +168,15 @@ def _micro_feed() -> list[PositioningSequence]:
         return PositioningSequence(
             device_id,
             [
-                RawPositioningRecord(i * interval, device_id, Point(x, y, 1))
-                for i, (x, y) in enumerate(points)
+                RawPositioningRecord(i * interval, device_id, Point(*point))
+                for i, point in enumerate(points)
             ],
         )
 
+    # Long enough that the chunk clears the vectorized prime's row floor.
     dwell = sequence(
         "dev-dwell",
-        [(5.0 + 0.1 * (i % 3), 15.0 - 0.1 * (i % 2)) for i in range(24)],
+        [(5.0 + 0.1 * (i % 3), 15.0 - 0.1 * (i % 2)) for i in range(40)],
     )
     walk = sequence(
         "dev-walk",
@@ -170,7 +186,9 @@ def _micro_feed() -> list[PositioningSequence]:
     )
     dirty = sequence(
         "dev-dirty",
-        [(1.0 + i, 5.0) for i in range(5)]
+        [(1.0 + i, 5.0) for i in range(3)]
+        + [(4.0, 5.0, 2)]  # floor flap: right spot, a floor that isn't there
+        + [(5.0, 5.0)]
         + [(19.0, 19.0)]  # infeasible teleport into the shop corner
         + [(7.0 + i, 5.0) for i in range(5)],
     )
@@ -183,7 +201,10 @@ def selftest() -> dict:
     Runs both layouts over an inline micro-venue and asserts:
 
     1. cleaning and annotation results are equal pair for pair, and the
-       emitted knowledge shards are equal (dwell totals bit for bit);
+       emitted knowledge shards are equal (dwell totals bit for bit), on a
+       feed whose dirty sequence needs both repair steps — a floor
+       correction and an interpolation — so the session-backed corrector
+       and interpolator run;
     2. :data:`CHUNKS_RUN` advanced — the columnar code actually executed;
     3. when numpy is importable and not disabled via
        ``TRIPS_COLUMNAR_NUMPY=0``, the vectorized prime path ran — an
@@ -218,11 +239,10 @@ def selftest() -> dict:
             "numpy is available and enabled but the vectorized prime path "
             "did not run — the columnar fast path was silently skipped"
         )
-    repaired = sum(
-        len(cleaning.report.interpolated) + len(cleaning.report.floor_corrected)
-        for cleaning, _ in columnar.pairs
-    )
-    assert repaired > 0, "selftest feed no longer exercises the repair path"
+    for step in ("floor_corrected", "interpolated"):
+        assert any(
+            getattr(cleaning.report, step) for cleaning, _ in columnar.pairs
+        ), f"selftest feed no longer exercises the {step} repair"
     return {
         "sequences": len(feed),
         "pairs_equal": True,

@@ -14,10 +14,18 @@ from .speed import SpeedValidator
 
 
 class FloorCorrector:
-    """Attempts to repair an invalid record by changing only its floor."""
+    """Attempts to repair an invalid record by changing only its floor.
 
-    def __init__(self, validator: SpeedValidator):
+    ``locator`` answers ``partition_at`` / ``nearest_partition``; it
+    defaults to the DSM itself, and the columnar pipeline passes its
+    memoizing :class:`~repro.columnar.locate.LocatorSession` instead.
+    """
+
+    def __init__(self, validator: SpeedValidator, locator=None):
         self.validator = validator
+        self.locator = (
+            locator if locator is not None else validator.topology.model
+        )
 
     def candidate_floors(
         self,
@@ -72,7 +80,10 @@ class FloorCorrector:
 
     def _location_exists(self, record: RawPositioningRecord) -> bool:
         """The corrected fix must land in (or near) walkable space."""
-        model = self.validator.topology.model
-        if model.partition_at(record.location) is not None:
+        locator = self.locator
+        if locator.partition_at(record.location) is not None:
             return True
-        return model.nearest_partition(record.location, max_distance=3.0) is not None
+        return (
+            locator.nearest_partition(record.location, max_distance=3.0)
+            is not None
+        )

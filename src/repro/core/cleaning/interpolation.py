@@ -17,10 +17,18 @@ from ...positioning import RawPositioningRecord
 
 
 class LocationInterpolator:
-    """Derives plausible locations for invalid records from the DSM."""
+    """Derives plausible locations for invalid records from the DSM.
 
-    def __init__(self, topology: Topology):
+    Two seams let the columnar pipeline share its per-chunk memos without
+    changing a result: ``locator`` answers ``partition_at`` /
+    ``nearest_partition`` (default: the DSM) and ``router`` answers
+    ``walking_path`` (default: the topology).
+    """
+
+    def __init__(self, topology: Topology, locator=None, router=None):
         self.topology = topology
+        self.locator = locator if locator is not None else topology.model
+        self.router = router if router is not None else topology
 
     def interpolate(
         self,
@@ -59,7 +67,7 @@ class LocationInterpolator:
         return min(1.0, max(0.0, (t_now - t_prev) / span))
 
     def _along_path(self, start: Point, goal: Point, fraction: float) -> Point:
-        waypoints = self.topology.walking_path(start, goal)
+        waypoints = self.router.walking_path(start, goal)
         if len(waypoints) < 2:
             # Unreachable pair (shouldn't happen for valid anchors); fall
             # back to whichever endpoint the fraction favors, snapped in.
@@ -85,10 +93,10 @@ class LocationInterpolator:
 
     def _snap(self, point: Point) -> Point:
         """Project a point into walkable space if it fell outside."""
-        model = self.topology.model
-        if model.partition_at(point) is not None:
+        locator = self.locator
+        if locator.partition_at(point) is not None:
             return point
-        snapped = model.nearest_partition(point, max_distance=10.0)
+        snapped = locator.nearest_partition(point, max_distance=10.0)
         if snapped is None:
             return point
         partition, _ = snapped

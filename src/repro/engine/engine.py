@@ -124,18 +124,20 @@ DEFAULT_CHUNK_SIZE = 8
 KNOWLEDGE_BUILDS = ("rebuild", "sharded")
 
 #: Phase-one record layouts; both produce bit-for-bit identical output
-#: (``tests/test_columnar_equivalence.py`` is the proof).
+#: (``tests/test_columnar_equivalence.py`` is the proof).  ``"columnar"``
+#: is the default pipeline; ``"objects"`` is the reference oracle the
+#: differential suites and the ledger's digest checks compare against.
 RECORD_LAYOUTS = ("objects", "columnar")
 
 
 def _default_record_layout() -> str:
     """Engine default layout, overridable via ``TRIPS_RECORD_LAYOUT``.
 
-    The environment override is what makes CI's ``layout=columnar``
+    The environment override is what makes CI's ``record-layout: objects``
     matrix leg honest: the whole tier-1 suite runs its engines on the
-    columnar path without every test naming the layout explicitly.
+    object-model oracle without every test naming the layout explicitly.
     """
-    return os.environ.get("TRIPS_RECORD_LAYOUT", "objects")
+    return os.environ.get("TRIPS_RECORD_LAYOUT", "columnar")
 
 #: Context key of a stand-alone engine in its single-entry venue map.
 DEFAULT_CONTEXT_KEY = "default"
@@ -145,15 +147,15 @@ def _phase_one_task(
     venues: Mapping[str, Translator],
     payload: tuple[str, list[PositioningSequence]],
     emit_partial: bool = False,
-    record_layout: str = "objects",
+    record_layout: str = "columnar",
 ) -> PhaseOneChunk:
     """Phase-one worker task: resolve the venue translator, run the chunk.
 
     The context is a venue map so one pool can serve several translators;
     a stand-alone engine opens the map with a single entry.
-    ``record_layout`` picks the per-record object pipeline or the
-    columnar kernels — both produce identical chunks, so the choice is
-    invisible to everything past this dispatch.
+    ``record_layout`` picks the columnar kernels (the default) or the
+    per-record object pipeline — both produce identical chunks, so the
+    choice is invisible to everything past this dispatch.
     """
     key, chunk = payload
     started = time.perf_counter()
@@ -217,9 +219,10 @@ class EngineConfig:
     knowledge_build: str = "sharded"
     phase_one_cache: int = 0
     retention: str = "unbounded"
-    #: Phase-one record layout: ``"objects"`` (per-record pipeline) or
-    #: ``"columnar"`` (flat-array kernels, bit-for-bit identical output).
-    #: Defaults from ``TRIPS_RECORD_LAYOUT`` when set.
+    #: Phase-one record layout: ``"columnar"`` (flat-array kernels, the
+    #: default) or ``"objects"`` (the per-record reference pipeline,
+    #: bit-for-bit identical output).  ``TRIPS_RECORD_LAYOUT`` overrides
+    #: the default when set.
     record_layout: str = field(default_factory=_default_record_layout)
 
     def __post_init__(self) -> None:

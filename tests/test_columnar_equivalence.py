@@ -15,7 +15,11 @@ suite proves it differentially:
 - an engine matrix replays deterministic feeds over all three buildings,
   every execution backend and both knowledge-build modes;
 - an incremental matrix proves layout equivalence under every knowledge
-  retention policy family via ``translate_increment``.
+  retention policy family via ``translate_increment``;
+- one differential per seam closed when columnar became the default:
+  the rectangle identity, the mask-resolved prime, the session's
+  ``nearest_partition``, the hoisted route search, and the session-backed
+  floor corrector / interpolator on dirty feeds.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from __future__ import annotations
 import struct
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from repro.buildings import MallConfig, build_mall
@@ -35,11 +39,20 @@ from repro.columnar import (
 )
 from repro.columnar import locate as columnar_locate
 from repro.columnar import pipeline as columnar_pipeline
+from repro.columnar.kernels import ColumnarCleaner, ColumnarSpeedValidator
 from repro.core import Translator
+from repro.core.cleaning import CleaningConfig, RawDataCleaner
 from repro.core.translator import run_phase_one_chunk
+from repro.dsm import (
+    DigitalSpaceModel,
+    EntityKind,
+    IndoorEntity,
+    SemanticRegion,
+    SemanticTag,
+)
 from repro.engine import BACKENDS, RECORD_LAYOUTS, Engine, EngineConfig
 from repro.errors import ConfigError
-from repro.geometry import Point
+from repro.geometry import Circle, Point, Polygon
 from repro.positioning import PositioningSequence, RawPositioningRecord
 from repro.simulation import MobilitySimulator
 
@@ -283,11 +296,14 @@ class TestLocationKernels:
         records = [
             RawPositioningRecord(float(i), "probe", Point(x, y, 1))
             for i, x in enumerate(_COORD_SPECIALS)
-            for y in (5.0, 10.0, 15.0)
+            for y in (0.0, 5.0, 10.0, 15.0)
         ]
         batch = RecordBatch.from_records(records)
         vectorized = shop_locator.session()
+        primes = columnar_locate.NUMPY_PRIME_COUNT
         vectorized.prime(batch)
+        if columnar_locate._NUMPY_ENABLED:
+            assert columnar_locate.NUMPY_PRIME_COUNT == primes + 1
         monkeypatch.setattr(columnar_locate, "_NUMPY_ENABLED", False)
         scalar = shop_locator.session()
         scalar.prime(batch)
@@ -351,6 +367,27 @@ class TestPhaseOneDifferential:
         assert summary["chunks_run"] > before
         if columnar_locate._NUMPY_ENABLED:
             assert summary["numpy_prime_ran"]
+
+    def test_subclass_step_wraps_the_columnar_layers(self, two_shop):
+        """``clean_and_annotate`` stays the per-sequence step: a subclass
+        that wraps it (the ledger's traced translator does, to time the
+        layers apart) sees the chunk's columnar cleaner, and the caller's
+        own translator keeps its object-model one."""
+        seen = []
+
+        class Watching(Translator):
+            def clean_and_annotate(self, sequence):
+                seen.append((type(self.cleaner), sequence.device_id))
+                return super().clean_and_annotate(sequence)
+
+        translator = Watching(two_shop)
+        sequences = [walk_sequence("w"), stationary_sequence("d", count=8)]
+        columnar = run_phase_one_chunk_columnar(translator, sequences)
+        assert seen == [(ColumnarCleaner, "w"), (ColumnarCleaner, "d")]
+        assert type(translator.cleaner) is RawDataCleaner
+        assert_chunks_equal(
+            run_phase_one_chunk(Translator(two_shop), sequences), columnar
+        )
 
     def test_cleaning_disabled_still_equivalent(self, two_shop):
         from repro.core.translator import TranslatorConfig
@@ -509,17 +546,497 @@ def test_increment_without_store_matches(two_shop):
 
 
 # ----------------------------------------------------------------------
+# Seams closed when columnar became the default pipeline
+# ----------------------------------------------------------------------
+def make_mixed_dsm(separable: bool = True) -> DigitalSpaceModel:
+    """Two floors holding every shape family the locator prepares.
+
+    Floor 1 is the two-shop layout plus a booth nested inside the Nike
+    shop (overlapping rectangles: the smaller wins), a triangular annex
+    and a round kiosk off the hall's east end; floor 2 is one landing
+    joined by a staircase.  Regions come drawn (rectangle, triangle,
+    circle), member-mapped, and — with ``separable=False`` — both at once,
+    which takes the per-point region path.
+    """
+    model = make_two_shop_dsm()
+    model.name = "mixed"
+    model.add_entity(
+        IndoorEntity("booth", EntityKind.ROOM, Polygon.rectangle(12, 12, 16, 16))
+    )
+    model.add_entity(
+        IndoorEntity(
+            "annex",
+            EntityKind.ROOM,
+            Polygon([Point(30, 0), Point(38, 0), Point(30, 8)]),
+        )
+    )
+    model.add_entity(
+        IndoorEntity("kiosk", EntityKind.ROOM, Circle(Point(34, 14), 3.0))
+    )
+    model.add_entity(IndoorEntity("door-annex", EntityKind.DOOR, Point(29.7, 3)))
+    model.add_entity(
+        IndoorEntity("landing", EntityKind.HALLWAY, Polygon.rectangle(0, 0, 30, 10, 2))
+    )
+    for floor in (1, 2):
+        model.add_entity(
+            IndoorEntity(
+                f"stair-{floor}",
+                EntityKind.STAIRCASE,
+                Point(28, 5, floor),
+                properties={"stack": "stair"},
+            )
+        )
+    zone = SemanticTag("zone", "hallway")
+    model.add_region(
+        SemanticRegion(
+            "z-center", "Center", zone, shape=Polygon.rectangle(10, 0, 20, 10)
+        )
+    )
+    model.add_region(
+        SemanticRegion(
+            "z-corner",
+            "Corner",
+            zone,
+            shape=Polygon([Point(0, 0), Point(6, 0), Point(0, 6)]),
+        )
+    )
+    model.add_region(
+        SemanticRegion("z-round", "Round", zone, shape=Circle(Point(25, 5), 2.0))
+    )
+    model.add_region(
+        SemanticRegion("r-booth", "Booth", zone, entity_ids=("booth",))
+    )
+    model.add_region(
+        SemanticRegion("r-landing", "Landing", zone, entity_ids=("landing",))
+    )
+    if not separable:
+        model.add_region(
+            SemanticRegion(
+                "z-kiosk",
+                "Kiosk",
+                zone,
+                shape=Circle(Point(34, 14), 3.0),
+                entity_ids=("kiosk",),
+            )
+        )
+    return model
+
+
+@pytest.fixture(scope="module", params=[True, False], ids=["separable", "mixed"])
+def mixed_locator(request):
+    locator = columnar_locate.PointLocator(make_mixed_dsm(request.param))
+    assert locator._regions_separable is request.param
+    return locator
+
+
+# Every wall line, grid-cell line and drawn-region edge of the mixed
+# venue, with the same near-boundary offsets as above, and a margin wide
+# enough to fall outside every snap radius.
+_MIXED_EDGES = [0.0, 6.0, 8.0, 10.0, 12.0, 16.0, 20.0, 24.0, 30.0, 31.0, 37.0, 38.0]
+wide_coordinate = st.one_of(
+    st.sampled_from(
+        [-0.0]
+        + _MIXED_EDGES
+        + [e + d for e in _MIXED_EDGES for d in (-1e-9, 1e-9, -5e-10, 5e-10)]
+    ),
+    st.floats(min_value=-14.0, max_value=52.0, allow_nan=False, width=64),
+)
+
+_RECT_LINES = st.sampled_from([-0.0, 0.0, 1e-9, 8.0, 10.0, 16.0, 1e6, -3.5])
+
+
+@st.composite
+def bbox_rectangles(draw) -> Polygon:
+    """An axis-aligned rectangle through its bbox corners: either winding,
+    any starting corner."""
+    x0, x1 = sorted(draw(st.lists(_RECT_LINES, min_size=2, max_size=2)))
+    y0, y1 = sorted(draw(st.lists(_RECT_LINES, min_size=2, max_size=2)))
+    if not (x0 < x1 and y0 < y1):
+        x1, y1 = x0 + 4.0, y0 + 0.5
+    ring = [(x0, y0), (x1, y0), (x1, y1), (x0, y1)]
+    if draw(st.booleans()):
+        ring.reverse()
+    shift = draw(st.integers(min_value=0, max_value=3))
+    ring = ring[shift:] + ring[:shift]
+    return Polygon([Point(x, y, 1) for x, y in ring])
+
+
+def _entry(shape) -> columnar_locate._ShapeEntry:
+    return columnar_locate._ShapeEntry("probe", None, shape)
+
+
+class TestRectangleIdentity:
+    @given(rectangle=bbox_rectangles(), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_rectangle_entry_matches_contains_point(self, rectangle, data):
+        """A flagged rectangle answers from comparisons; the answer is
+        ``Polygon.contains_point``'s — corners, edges, ±1e-9, ±0.0."""
+        # (Polygon itself folds a ring whose ends nearly touch.)
+        assume(len(rectangle.vertices) == 4)
+        entry = _entry(rectangle)
+        assert entry.rect
+        bounds = rectangle.bounds
+        near = [
+            line + offset
+            for line in (bounds.min_x, bounds.max_x, bounds.min_y, bounds.max_y)
+            for offset in (0.0, -1e-9, 1e-9, -5e-10, 5e-10)
+        ]
+        probe = st.one_of(st.sampled_from(near + [-0.0]), coordinate)
+        point = Point(data.draw(probe), data.draw(probe), 1)
+        assert columnar_locate.kernel_shape_contains(
+            entry, point
+        ) == rectangle.contains_point(point)
+
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            # rotated square
+            Polygon([Point(5, 0), Point(10, 5), Point(5, 10), Point(0, 5)]),
+            # trapezoid and parallelogram: four vertices, two on the bbox
+            Polygon([Point(0, 0), Point(10, 0), Point(8, 5), Point(2, 5)]),
+            Polygon([Point(0, 0), Point(8, 0), Point(10, 5), Point(2, 5)]),
+            # the bbox corners in bow-tie order (self-intersecting)
+            Polygon([Point(0, 0), Point(10, 5), Point(10, 0), Point(0, 5)]),
+            # four corner vertices, two of them the same corner (two spikes)
+            Polygon([Point(0, 0), Point(10, 0), Point(0, 0), Point(0, 5)]),
+            # a rectangle with a fifth vertex on an edge
+            Polygon(
+                [Point(0, 0), Point(5, 0), Point(10, 0), Point(10, 5), Point(0, 5)]
+            ),
+            # a sliver whose height vanishes
+            Polygon([Point(0, 0), Point(10, 0), Point(10, 0.0), Point(0, 1e-320)]),
+            Polygon([Point(0, 0), Point(8, 0), Point(0, 8)]),
+            Circle(Point(5, 5), 5.0),
+        ],
+        ids=[
+            "rotated", "trapezoid", "parallelogram", "bow-tie", "spikes",
+            "five-vertex", "sliver", "triangle", "circle",
+        ],
+    )
+    def test_non_rectangles_are_not_flagged(self, shape):
+        """Anything but a proper bbox rectangle keeps the scalar kernel —
+        and the kernel still agrees with the shape on its own corners."""
+        entry = _entry(shape)
+        assert not entry.rect
+        bounds = shape.bounds
+        for x in (bounds.min_x, bounds.max_x, (bounds.min_x + bounds.max_x) / 2):
+            for y in (bounds.min_y, bounds.max_y, (bounds.min_y + bounds.max_y) / 2):
+                point = Point(x, y, 1)
+                assert columnar_locate.kernel_shape_contains(
+                    entry, point
+                ) == columnar_locate.reference_shape_contains(shape, point)
+
+    def test_overflowing_extent_is_not_flagged(self):
+        huge = Polygon.rectangle(-1e308, -1e308, 1e308, 1e308)
+        assert not _entry(huge).rect
+
+    def test_bench_venues_are_rectangles(self, mixed_locator):
+        """The flag is what the ledger's speed rests on: every shape of the
+        benchmark mall qualifies, and exactly the rectangles of the mixed
+        venue do."""
+        mall = columnar_locate.PointLocator(build_mall(MallConfig(floors=3)))
+        tables = list(mall._partitions.values()) + list(
+            mall._region_tables.values()
+        )
+        assert all(entry.rect for table in tables for entry in table.entries)
+        flagged = {
+            key
+            for key, entry in mixed_locator._entity_entries.items()
+            if entry.rect
+        }
+        assert flagged == {
+            "hall", "shop-adidas", "shop-nike", "shop-cashier", "booth",
+            "landing",
+        }
+
+
+class TestMaskResolvedPrime:
+    @pytest.fixture(autouse=True)
+    def vectorize_every_batch(self, monkeypatch):
+        """Small batches normally prime point by point; sweep them here."""
+        monkeypatch.setattr(columnar_locate, "_VECTOR_PRIME_MIN_ROWS", 0)
+
+    def test_small_batches_prime_point_by_point(self, mixed_locator, monkeypatch):
+        """The row floor picks the path from the batch's size alone."""
+        monkeypatch.undo()
+        floor = columnar_locate._VECTOR_PRIME_MIN_ROWS
+        records = [
+            RawPositioningRecord(float(i), "probe", Point(i % 30, 5.0, 1))
+            for i in range(floor)
+        ]
+        before = columnar_locate.NUMPY_PRIME_COUNT
+        small, large = mixed_locator.session(), mixed_locator.session()
+        small.prime(RecordBatch.from_records(records[:-1]))
+        assert columnar_locate.NUMPY_PRIME_COUNT == before
+        large.prime(RecordBatch.from_records(records))
+        assert columnar_locate.NUMPY_PRIME_COUNT == before + (
+            1 if columnar_locate._NUMPY_ENABLED else 0
+        )
+        assert small._partitions.items() <= large._partitions.items()
+        assert small._regions.items() <= large._regions.items()
+
+    @given(
+        points=st.lists(
+            st.tuples(wide_coordinate, wide_coordinate, st.sampled_from([1, 1, 2, 3])),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_primed_memos_match_the_model(self, mixed_locator, points):
+        """Whatever the prime decides from masks alone — nested
+        rectangles, drawn regions, max edges, empty floors — is the
+        model's own entity and region object."""
+        model = mixed_locator.model
+        records = [
+            RawPositioningRecord(float(i), "probe", Point(x, y, floor))
+            for i, (x, y, floor) in enumerate(points)
+        ]
+        session = mixed_locator.session()
+        session.prime(RecordBatch.from_records(records))
+        for record in records:
+            point = record.location
+            key = (point.x, point.y, point.floor)
+            assert session._partitions[key] is model.partition_at(point)
+            assert session._regions[key] is model.primary_region_at(point)
+
+
+class TestSessionNearestPartition:
+    @given(
+        x=wide_coordinate,
+        y=wide_coordinate,
+        floor=st.sampled_from([1, 1, 2, 3]),
+        max_distance=st.sampled_from([0.0, 1e-9, 3.0, 5.0, 10.0, 40.0]),
+    )
+    @settings(
+        max_examples=400,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_matches_model(self, mixed_locator, x, y, floor, max_distance):
+        """Same entity object, same distance bits, same None."""
+        point = Point(x, y, floor)
+        expected = mixed_locator.model.nearest_partition(point, max_distance)
+        session = mixed_locator.session()
+        for _ in range(2):  # computed, then memoized
+            found = session.nearest_partition(point, max_distance)
+            if expected is None:
+                assert found is None
+            else:
+                assert found[0] is expected[0]
+                assert found[1].hex() == expected[1].hex()
+
+    def test_guard_never_skips_the_winner(self, mixed_locator):
+        """A point exactly ``max_distance`` from a wall: the bounding-box
+        bound equals the true distance, and ``<=`` must still accept."""
+        model = mixed_locator.model
+        session = mixed_locator.session()
+        for point in (Point(-3.0, 5.0, 1), Point(15.0, 23.0, 1), Point(5.0, -5.0, 2)):
+            distance = 3.0 if point.floor == 1 else 5.0
+            expected = model.nearest_partition(point, distance)
+            assert expected is not None and expected[1] == distance
+            found = session.nearest_partition(point, distance)
+            assert found[0] is expected[0]
+            assert found[1].hex() == expected[1].hex()
+
+
+route_point = st.tuples(wide_coordinate, wide_coordinate, st.sampled_from([1, 1, 2]))
+
+
+class TestHoistedRouteSearch:
+    @given(start=route_point, goal=route_point)
+    @settings(
+        max_examples=300,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_distance_and_path_match_topology(self, mixed_locator, start, goal):
+        """Exit legs measured once per exit node: the same best distance
+        (bit for bit) and the same waypoints as ``Topology._route``."""
+        topology = mixed_locator.model.topology
+        validator = ColumnarSpeedValidator(
+            topology, 2.5, mixed_locator.session()
+        )
+        a, b = Point(*start), Point(*goal)
+        distance, _ = validator._route(a, b)
+        assert distance.hex() == topology.walking_distance(a, b).hex()
+        assert validator.walking_path(a, b) == topology.walking_path(a, b)
+
+    def test_mall_routes_match(self, mall):
+        """Multi-door, multi-stack routes on the benchmark building."""
+        import random
+
+        topology = mall.topology
+        locator = columnar_locate.PointLocator(mall)
+        validator = ColumnarSpeedValidator(topology, 2.5, locator.session())
+        bounds = mall.floor_bounds(1)
+        rng = random.Random(17)
+        for _ in range(300):
+            a, b = (
+                Point(
+                    rng.uniform(bounds.min_x - 2, bounds.max_x + 2),
+                    rng.uniform(bounds.min_y - 2, bounds.max_y + 2),
+                    rng.choice([1, 2]),
+                )
+                for _ in range(2)
+            )
+            assert (
+                validator._route(a, b)[0].hex()
+                == topology.walking_distance(a, b).hex()
+            )
+            assert validator.walking_path(a, b) == topology.walking_path(a, b)
+
+
+dirty_point = st.one_of(
+    # in a shop, in the hall, in the annex/kiosk, in a wall or outside
+    st.tuples(wide_coordinate, wide_coordinate, st.sampled_from([1, 1, 1, 2, 3])),
+    st.tuples(
+        st.floats(min_value=1.0, max_value=29.0),
+        st.floats(min_value=1.0, max_value=9.0),
+        st.sampled_from([1, 2]),
+    ),
+)
+
+
+@st.composite
+def dirty_sequence(draw) -> PositioningSequence:
+    """A mostly walkable track salted with floor flaps, teleports and
+    fixes in walls, at gaps that make some of them infeasible."""
+    n = draw(st.integers(min_value=2, max_value=18))
+    t = 0.0
+    records = []
+    for _ in range(n):
+        t += draw(st.sampled_from([0.0, 1.0, 2.0, 5.0, 20.0]))
+        records.append(
+            RawPositioningRecord(t, "dirty", Point(*draw(dirty_point)))
+        )
+    return PositioningSequence("dirty", records)
+
+
+class TestSessionBackedRepairs:
+    @given(sequence=dirty_sequence(), data=st.data())
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_cleaning_results_equal(self, mixed_locator, sequence, data):
+        """Floor correction and interpolation probing the session produce
+        the object cleaner's ``CleaningResult`` — cleaned records, report
+        and all — with either repair step switched off as well."""
+        topology = mixed_locator.model.topology
+        config = CleaningConfig(
+            enable_floor_correction=data.draw(st.booleans()),
+            enable_interpolation=data.draw(st.booleans()),
+        )
+        session = mixed_locator.session()
+        session.prime(RecordBatch.from_sequences([sequence])[0])
+        validator = ColumnarSpeedValidator(topology, config.max_speed, session)
+        columnar = ColumnarCleaner(topology, config, validator).clean(sequence)
+        assert columnar == RawDataCleaner(topology, config).clean(sequence)
+
+    def test_repairs_are_exercised(self, mixed_locator):
+        """The differential above is not vacuous: a flap, a teleport and a
+        fix in a wall each take their repair through the session."""
+        topology = mixed_locator.model.topology
+        sequence = walk_sequence(
+            "dirty",
+            points=[
+                (2, 5, 1), (4, 5, 1), (6, 5, 2), (8, 5, 1),  # floor flap
+                (10, 5, 1), (29, 19, 1), (12, 5, 1),  # teleport
+                (14, 5, 1), (15, 10.0 + 1e-3, 3), (16, 5, 1),  # off any floor
+            ],
+            interval=2.0,
+        )
+        session = mixed_locator.session()
+        validator = ColumnarSpeedValidator(topology, 2.5, session)
+        result = ColumnarCleaner(topology, CleaningConfig(), validator).clean(
+            sequence
+        )
+        assert result == RawDataCleaner(topology).clean(sequence)
+        assert result.report.floor_corrected and result.report.interpolated
+        assert session._nearest or session._partitions
+
+
+# ----------------------------------------------------------------------
+# The locator cache under the threads backend
+# ----------------------------------------------------------------------
+def test_locator_cache_is_thread_safe(monkeypatch):
+    """More venues than cache slots through concurrent workers: no
+    eviction lands inside another thread's lookup, and a model never has
+    two locators being built at once."""
+    import sys
+    import threading
+    import time
+    from concurrent.futures import ThreadPoolExecutor
+
+    building: set[int] = set()
+    overlaps: list[int] = []
+    guard = threading.Lock()
+
+    class WatchedLocator(columnar_locate.PointLocator):
+        def __init__(self, model):
+            with guard:
+                if id(model) in building:
+                    overlaps.append(id(model))
+                building.add(id(model))
+            try:
+                time.sleep(0.001)  # hold the build open across a switch
+                super().__init__(model)
+            finally:
+                with guard:
+                    building.discard(id(model))
+
+    monkeypatch.setattr(columnar_pipeline, "PointLocator", WatchedLocator)
+    monkeypatch.setattr(columnar_pipeline, "_locators", type(columnar_pipeline._locators)())
+    venues = [
+        Translator(columnar_pipeline._micro_venue())
+        for _ in range(columnar_pipeline._MAX_LOCATORS + 2)
+    ]
+    feed = columnar_pipeline._micro_feed()
+    expected = run_phase_one_chunk(venues[0], feed, emit_partial=True)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [
+                pool.submit(
+                    run_phase_one_chunk_columnar,
+                    venues[(i * 7) % len(venues)],
+                    feed,
+                    True,
+                )
+                for i in range(120)
+            ]
+            chunks = [future.result(timeout=60) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+
+    for chunk in chunks:
+        assert_chunks_equal(expected, chunk)
+    assert not overlaps, "two threads built a locator for one model"
+    cache = columnar_pipeline._locators
+    assert len(cache) <= columnar_pipeline._MAX_LOCATORS
+    assert all(id(locator.model) == key for key, locator in cache.items())
+
+
+# ----------------------------------------------------------------------
 # Configuration plumbing
 # ----------------------------------------------------------------------
 class TestRecordLayoutConfig:
     def test_known_layouts(self, monkeypatch):
-        # The CI columnar leg exports TRIPS_RECORD_LAYOUT for the whole
-        # suite; clear it so this test pins the built-in default.
+        # The CI oracle leg exports TRIPS_RECORD_LAYOUT=objects for the
+        # whole suite; clear it so this test pins the built-in default.
         monkeypatch.delenv("TRIPS_RECORD_LAYOUT", raising=False)
         assert RECORD_LAYOUTS == ("objects", "columnar")
-        assert EngineConfig().record_layout == "objects"
-        assert EngineConfig(record_layout="columnar").record_layout == (
-            "columnar"
+        assert EngineConfig().record_layout == "columnar"
+        assert EngineConfig(record_layout="objects").record_layout == (
+            "objects"
         )
 
     def test_unknown_layout_rejected(self):
@@ -536,6 +1053,34 @@ class TestRecordLayoutConfig:
         monkeypatch.setenv("TRIPS_RECORD_LAYOUT", "bogus")
         with pytest.raises(ConfigError):
             EngineConfig()
+
+    @pytest.mark.parametrize("backend", ALL_BACKENDS)
+    def test_bare_config_runs_the_columnar_pipeline(
+        self, two_shop, monkeypatch, backend
+    ):
+        """A default ``EngineConfig`` is the columnar pipeline: in-process
+        backends advance its chunk counter, and on every backend — worker
+        processes included — the run's telemetry counts columnar chunks."""
+        from repro.telemetry import MetricsRegistry, use_registry
+
+        monkeypatch.delenv("TRIPS_RECORD_LAYOUT", raising=False)
+        sequences = [walk_sequence("w"), stationary_sequence("d", count=6)]
+        before = columnar_pipeline.CHUNKS_RUN
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            Engine(
+                Translator(two_shop),
+                EngineConfig(backend=backend, workers=2, chunk_size=1),
+            ).translate_batch(sequences)
+        assert registry.counter("trips_columnar_chunks_total").value == 2
+        if backend != "processes":
+            assert columnar_pipeline.CHUNKS_RUN > before
+
+    def test_translator_batch_stays_the_object_oracle(self, two_shop):
+        """The reference must not silently become the thing it checks."""
+        before = columnar_pipeline.CHUNKS_RUN
+        Translator(two_shop).translate_batch([walk_sequence("w")])
+        assert columnar_pipeline.CHUNKS_RUN == before
 
     def test_objects_layout_does_not_run_columnar_chunks(self, two_shop):
         translator = Translator(two_shop)

@@ -289,6 +289,40 @@ class TestCli:
         assert exports["sharded"] == exports["rebuild"]
         assert len(exports["sharded"]) > 0
 
+    def test_plain_translate_runs_the_default_pipeline(
+        self, task_workspace, tmp_path, capsys, monkeypatch
+    ):
+        """`trips translate` with no --backend goes through the engine's
+        defaults — the columnar pipeline — and writes byte-identical
+        files to the object-model reference (`--record-layout objects`)."""
+        from repro.columnar import pipeline as columnar_pipeline
+
+        # CI's oracle leg flips the default through the environment.
+        monkeypatch.delenv("TRIPS_RECORD_LAYOUT", raising=False)
+        _, _, config_path = task_workspace
+        plain, reference = tmp_path / "plain", tmp_path / "reference"
+        before = columnar_pipeline.CHUNKS_RUN
+        assert cli_main(
+            ["translate", str(config_path), "--out", str(plain)]
+        ) == 0
+        assert columnar_pipeline.CHUNKS_RUN > before
+        assert "backend=serial" in capsys.readouterr().out
+        before = columnar_pipeline.CHUNKS_RUN
+        assert cli_main(
+            ["translate", str(config_path), "--backend", "serial",
+             "--record-layout", "objects", "--out", str(reference)]
+        ) == 0
+        assert columnar_pipeline.CHUNKS_RUN == before
+
+        def exported(directory):
+            return {
+                path.name: path.read_bytes()
+                for path in directory.glob("*.json")
+            }
+
+        assert exported(plain) == exported(reference)
+        assert len(exported(plain)) > 0
+
     def test_knowledge_build_requires_backend(self, task_workspace, capsys):
         _, _, config_path = task_workspace
         assert cli_main(
