@@ -25,7 +25,8 @@ pays them once per knowledge *generation* instead of once per DP step:
 Staleness is handled by the knowledge's monotonic ``generation``
 counter: every mutation (``observe``/``fold``/``unfold``/``scale``)
 bumps it, and :func:`ensure_compiled` recompiles when the attached
-model's recorded generation (or topology identity) no longer matches.
+model's recorded generation, ``smoothing`` (a public field whose
+assignment bumps nothing) or topology identity no longer matches.
 Once compiled, a model is immutable, so concurrent phase-two workers may
 race to compile the same generation — the last attach wins and both
 models are interchangeable.  Compiles and attach-cache hits are counted
@@ -67,6 +68,7 @@ class CompiledTransitionModel:
         "log_rows",
         "edge_weights",
         "mean_dwells",
+        "smoothing",
     )
 
     def __init__(
@@ -82,6 +84,7 @@ class CompiledTransitionModel:
         log_rows: tuple[tuple[float, ...], ...],
         edge_weights: dict[tuple[int, int], float | None],
         mean_dwells: tuple[float | None, ...],
+        smoothing: float,
     ):
         self.generation = generation
         self.topology = topology
@@ -94,6 +97,7 @@ class CompiledTransitionModel:
         self.log_rows = log_rows
         self.edge_weights = edge_weights
         self.mean_dwells = mean_dwells
+        self.smoothing = smoothing
 
     @classmethod
     def compile(
@@ -189,6 +193,7 @@ class CompiledTransitionModel:
             log_rows=tuple(log_rows),
             edge_weights=edge_weights,
             mean_dwells=tuple(mean_dwells),
+            smoothing=smoothing,
         )
 
     # ------------------------------------------------------------------
@@ -225,8 +230,9 @@ def ensure_compiled(
     """The attached compiled model, recompiled when stale.
 
     Freshness means the attached model was compiled from this knowledge
-    object's **current** generation against this very topology object;
-    any mutation since (or a different topology) forces a recompile.
+    object's **current** generation and smoothing against this very
+    topology object; any mutation since (or a different topology)
+    forces a recompile.
     The attach is a single attribute store, so concurrent callers may
     compile the same generation twice — wasteful but exact, never stale.
     """

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from ...dsm import Topology
 from ...errors import InferenceError
+from ...timeutil import TimeRange
 from ..semantics import MobilitySemantic, MobilitySemanticsSequence
 from .inference import InferenceConfig, SemanticsInference
 from .knowledge import MobilityKnowledge
@@ -74,10 +75,17 @@ class MobilitySemanticsComplementor:
         self.inference.flush_telemetry()
 
     def complement(
-        self, original: MobilitySemanticsSequence
+        self,
+        original: MobilitySemanticsSequence,
+        gaps: list[tuple[int, TimeRange]] | None = None,
     ) -> ComplementResult:
-        """Fill the temporal gaps of one annotated sequence."""
-        gaps = original.gaps(self.config.gap_threshold)
+        """Fill the temporal gaps of one annotated sequence.
+
+        ``gaps`` is ``original.gaps(gap_threshold)`` when the caller has
+        already scanned for them.
+        """
+        if gaps is None:
+            gaps = original.gaps(self.config.gap_threshold)
         if not gaps:
             return ComplementResult(original, 0, 0, 0)
         complemented: list[MobilitySemantic] = list(original.semantics)

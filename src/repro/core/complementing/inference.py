@@ -18,7 +18,8 @@ Two interchangeable execution paths implement the same semantics:
   identical DP over integer states with table lookups from a
   :class:`~repro.core.complementing.compiled.CompiledTransitionModel`,
   plus a bounded per-inference memo of :meth:`SemanticsInference.best_path`
-  answers, both keyed by the knowledge's mutation ``generation``.
+  answers — the tables keyed by the knowledge's mutation ``generation``
+  and ``smoothing``, the memo by the table it was answered from.
 
 The paths are bit-for-bit equivalent — same candidate paths, same
 floats, same first-seen/strict-``>`` tie-breaks — proven by the
@@ -110,15 +111,16 @@ class SemanticsInference:
         self.knowledge = knowledge
         self.topology = topology
         self.config = config if config is not None else InferenceConfig()
-        # Bounded LRU of best_path answers, valid for one knowledge
-        # generation; cleared the moment the compiled model's generation
-        # moves.  Per-inference (not shared through the knowledge object)
-        # so concurrent phase-two workers never contend on it and the
-        # entries implicitly carry this inference's config.
+        # Bounded LRU of best_path answers, valid for one compiled model;
+        # cleared the moment another model answers (a new generation, or
+        # a recompile after ``smoothing`` was assigned).  Per-inference
+        # (not shared through the knowledge object) so concurrent
+        # phase-two workers never contend on it and the entries
+        # implicitly carry this inference's config.
         self._path_memo: "OrderedDict[tuple, InferredPath | None]" = (
             OrderedDict()
         )
-        self._memo_generation: int | None = None
+        self._memo_model: CompiledTransitionModel | None = None
         # Plain-int telemetry accumulators; flushed in one registry
         # interaction per phase-two chunk (see ``flush_telemetry``) so
         # the DP hot path never touches the registry.
@@ -265,7 +267,8 @@ class SemanticsInference:
 
         On the compiled path, answers are memoized per
         ``(origin, destination, gap_duration)`` in a bounded LRU keyed
-        to the knowledge generation: any mutation of the knowledge
+        to the compiled model: any mutation of the knowledge (or
+        assignment of its ``smoothing``) brings a new model and
         invalidates the memo wholesale, so a stale answer can never
         outlive the evidence it was computed from.
         """
@@ -286,9 +289,9 @@ class SemanticsInference:
         memo_limit = self.config.path_memo
         memo = self._path_memo
         if memo_limit:
-            if self._memo_generation != compiled.generation:
+            if self._memo_model is not compiled:
                 memo.clear()
-                self._memo_generation = compiled.generation
+                self._memo_model = compiled
             key = (origin, destination, gap_duration)
             try:
                 hit = memo[key]

@@ -186,6 +186,11 @@ class RegionStats:
             return 0.0
         return self.stay_count / self.visits
 
+    @property
+    def is_empty(self) -> bool:
+        """Nothing recorded: adding or subtracting it is the identity."""
+        return not (self.visits or self.stay_count or self._dwell._partials)
+
     def add_visit(self, duration: float, stay: bool) -> None:
         """Record one visit."""
         self.visits += 1
@@ -302,7 +307,8 @@ def _add_counts(
     for origin, total in source.outgoing_totals.items():
         outgoing_totals[origin] = outgoing_totals.get(origin, 0) + total
     for region, shard_stats in source.stats.items():
-        stats[region].add(shard_stats)
+        if not shard_stats.is_empty:
+            stats[region].add(shard_stats)
     return source.sequences_seen
 
 
@@ -337,9 +343,14 @@ def _subtract_counts(
                 f"(outgoing total of {origin!r}: "
                 f"{outgoing_totals.get(origin, 0)} - {total})"
             )
-    for region, shard_stats in source.stats.items():
-        target = stats.get(region)
-        if target is not None and (
+    visited = [
+        (region, shard_stats)
+        for region, shard_stats in source.stats.items()
+        if not shard_stats.is_empty and region in stats
+    ]
+    for region, shard_stats in visited:
+        target = stats[region]
+        if (
             shard_stats.visits > target.visits
             or shard_stats.stay_count > target.stay_count
         ):
@@ -363,9 +374,8 @@ def _subtract_counts(
             outgoing_totals[origin] = remaining
         else:
             del outgoing_totals[origin]
-    for region, shard_stats in source.stats.items():
-        if region in stats:
-            stats[region].subtract(shard_stats)
+    for region, shard_stats in visited:
+        stats[region].subtract(shard_stats)
     return source.sequences_seen
 
 
@@ -550,9 +560,17 @@ class MobilityKnowledge:
         self._compiled = compiled
 
     def compiled_model(self):
-        """The attached compiled model, or ``None`` when absent/stale."""
+        """The attached compiled model, or ``None`` when absent/stale.
+
+        Stale means another generation *or* another :attr:`smoothing` —
+        a public field whose assignment bumps nothing.
+        """
         compiled = self._compiled
-        if compiled is not None and compiled.generation == self._generation:
+        if (
+            compiled is not None
+            and compiled.generation == self._generation
+            and compiled.smoothing == self.smoothing
+        ):
             return compiled
         return None
 

@@ -10,7 +10,8 @@ complemented.
 
 The two phases are exposed as module-level pure functions
 (:func:`run_phase_one`, :func:`run_phase_two`, :func:`build_batch_knowledge`,
-:func:`build_partial_knowledge`, :func:`assemble_results`) so the parallel
+:func:`build_partial_knowledge`, :func:`gapless_complements`,
+:func:`assemble_results`) so the parallel
 batch engine in :mod:`repro.engine` can fan them out across worker pools
 while reproducing ``Translator.translate_batch`` exactly.  Phase-one
 workers can additionally emit a per-chunk
@@ -351,25 +352,48 @@ def run_phase_two(
     return run_phase_two_chunk(translator, (knowledge, [sequence]))[0]
 
 
+def gapless_complements(
+    translator: "Translator", sequences: list[MobilitySemanticsSequence]
+) -> list[ComplementResult | None]:
+    """Phase two's gate: each gapless sequence's complement, else ``None``.
+
+    A sequence with no gap over the threshold complements to itself (the
+    first branch of ``MobilitySemanticsComplementor.complement``), so
+    only the ``None`` slots need knowledge, a table or a worker.
+    """
+    threshold = translator.config.complementing.gap_threshold
+    return [
+        None if sequence.gaps(threshold) else ComplementResult(sequence, 0, 0, 0)
+        for sequence in sequences
+    ]
+
+
 def run_phase_two_chunk(
     translator: "Translator",
     payload: tuple[MobilityKnowledge, list[MobilitySemanticsSequence]],
 ) -> list[ComplementResult]:
     """Phase two for a chunk of annotated sequences, preserving order.
 
-    Primes the compiled transition model once up front — the compile
-    (or attach-cache hit) lands per chunk rather than inside the first
-    gap's inference, and the compile/hit telemetry ticks exactly once per
-    chunk.  The memo hit/miss counters accumulated during the sequence
-    loop are flushed in one registry interaction at the end.
+    When the chunk holds a gap, primes the compiled transition model
+    once up front — the compile (or attach-cache hit) lands per chunk
+    rather than inside the first gap's inference, and the compile/hit
+    telemetry ticks exactly once per chunk; a gapless chunk never asks
+    for the table.  The memo hit/miss counters accumulated during the
+    sequence loop are flushed in one registry interaction at the end.
     """
     knowledge, sequences = payload
     complementor = MobilitySemanticsComplementor(
         knowledge, translator.model.topology, translator.config.complementing
     )
-    complementor.prime()
+    threshold = translator.config.complementing.gap_threshold
+    gaps = [sequence.gaps(threshold) for sequence in sequences]
+    if any(gaps):
+        complementor.prime()
     try:
-        return [complementor.complement(sequence) for sequence in sequences]
+        return [
+            complementor.complement(sequence, found)
+            for sequence, found in zip(sequences, gaps)
+        ]
     finally:
         complementor.flush_telemetry()
 

@@ -101,6 +101,7 @@ from ..core.translator import (
     assemble_results,
     build_batch_knowledge,
     build_partial_knowledge,
+    gapless_complements,
     run_phase_one_chunk,
     run_phase_two_chunk,
 )
@@ -504,19 +505,28 @@ class Engine:
     ) -> list[ComplementResult]:
         """Fan complementing out over the pool via a shared-knowledge token.
 
+        Gap-gated: only the sequences :func:`gapless_complements` leaves
+        open are chunked, shared and mapped, slotting back in input order
+        — a gapless window costs no share, no map and no compile.
         One share per barrier: every chunk task resolves the same token,
         so per-worker knowledge caches (and the compiled transition model
         attached to the cached knowledge) stay warm across all chunks of
         the phase.
         """
-        complements: list[ComplementResult] = []
-        chunks = partition(annotated, self.config.chunk_size)
-        if not chunks:
+        complements = gapless_complements(self.translator, annotated)
+        pending = [
+            slot for slot, done in enumerate(complements) if done is None
+        ]
+        if not pending:
             return complements
+        chunks = partition(
+            [annotated[slot] for slot in pending], self.config.chunk_size
+        )
         registry = get_registry()
         token = backend.share(knowledge)
         try:
             key = self.context_key
+            slots = iter(pending)
             for seconds, chunk_result in backend.map(
                 _phase_two_task, [(key, token, chunk) for chunk in chunks]
             ):
@@ -526,7 +536,8 @@ class Engine:
                         phase="two",
                         layout=self.config.record_layout,
                     ).observe(seconds)
-                complements.extend(chunk_result)
+                for result in chunk_result:
+                    complements[next(slots)] = result
         finally:
             backend.release(token)
         return complements
@@ -795,8 +806,7 @@ class Engine:
         if regions is None:
             return fold_into
         if not partials:
-            window = build_partial_knowledge(self.translator, annotated)
-            partials = [window] if window is not None else []
+            partials = [PartialKnowledge.from_sequences(annotated, regions)]
         if store is None:
             knowledge = fold_into
             if knowledge is None:

@@ -28,6 +28,8 @@ from __future__ import annotations
 import math
 import pickle
 import struct
+import sys
+import threading
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -102,6 +104,45 @@ def assert_paths_identical(reference, candidate):
     assert bits(candidate.score) == bits(reference.score)
 
 
+def table_hex(model: CompiledTransitionModel) -> tuple:
+    """Every table of a compiled model, floats as ``float.hex`` strings."""
+
+    def hexes(rows):
+        return [[value.hex() for value in row] for row in rows]
+
+    return (
+        model.regions,
+        model.index,
+        model.in_graph,
+        model.neighbors,
+        model.neighbor_sets,
+        hexes(model.prob_rows),
+        hexes(model.log_rows),
+        model.edge_weights,
+        [None if value is None else value.hex() for value in model.mean_dwells],
+        model.smoothing,
+    )
+
+
+def scratch_clone(knowledge: MobilityKnowledge) -> MobilityKnowledge:
+    """The same counts folded into a brand-new object (nothing attached)."""
+    clone = MobilityKnowledge.from_partials(
+        [knowledge.to_partial()],
+        regions=knowledge.regions,
+        smoothing=knowledge.smoothing,
+    )
+    clone.sequences_seen = knowledge.sequences_seen
+    return clone
+
+
+def assert_equals_fresh_compile(model, knowledge, topology):
+    """``model`` is current and table-for-table a from-scratch compile."""
+    assert model.generation == knowledge.generation
+    assert model.topology is topology
+    fresh = CompiledTransitionModel.compile(scratch_clone(knowledge), topology)
+    assert table_hex(model) == table_hex(fresh)
+
+
 # ----------------------------------------------------------------------
 # Compiled tables vs the object queries they replicate
 # ----------------------------------------------------------------------
@@ -124,6 +165,16 @@ class TestCompiledModel:
                     assert bits(
                         compiled.log_probability(origin, destination)
                     ) == bits(math.log(expected))
+
+    def test_one_region_vocabulary_compiles(self, two_shop_shared):
+        """A legal vocabulary whose only row is its diagonal: no
+        destination, so no smoothed ratio (denominator 0) is evaluated."""
+        compiled = CompiledTransitionModel.compile(
+            MobilityKnowledge(regions=["r"]), two_shop_shared.topology
+        )
+        assert compiled.prob_rows == ((0.0,),)
+        assert compiled.log_rows == ((-math.inf,),)
+        assert compiled.mean_dwells == (None,)
 
     def test_diagonal_probability_is_zero(self, two_shop_shared):
         compiled = CompiledTransitionModel.compile(
@@ -235,6 +286,41 @@ class TestGenerationCounter:
         assert restored.generation == knowledge.generation
         assert restored.compiled_model() is None
         assert knowledge.compiled_model() is not None  # original untouched
+
+    def test_smoothing_assignment_invalidates(self, two_shop_shared):
+        """``smoothing`` is a public field and assigning it bumps no
+        generation: the model records the value it was compiled with, so
+        the queries cannot keep answering from the old table."""
+        knowledge = fresh_knowledge()
+        topology = two_shop_shared.topology
+        inference = SemanticsInference(knowledge, topology)
+        first = ensure_compiled(knowledge, topology)
+        before = knowledge.transition_probability("r-adidas", "r-hall")
+        memoized = inference.best_path("r-adidas", "r-cashier", 300.0)
+        assert inference.best_path("r-adidas", "r-cashier", 300.0) is memoized
+        knowledge.smoothing = 5.0
+        assert knowledge.compiled_model() is None
+        after = knowledge.transition_probability("r-adidas", "r-hall")
+        expected = scratch_clone(knowledge).transition_probability(
+            "r-adidas", "r-hall"
+        )
+        assert bits(after) == bits(expected) != bits(before)
+        second = ensure_compiled(knowledge, topology)
+        assert second is not first and second.smoothing == 5.0
+        assert_equals_fresh_compile(second, knowledge, topology)
+        assert bits(
+            knowledge.transition_probability("r-adidas", "r-hall")
+        ) == bits(expected)
+        # Same generation, new table: the path memo must not outlive it.
+        fresh = inference.best_path("r-adidas", "r-cashier", 300.0)
+        assert fresh is not memoized
+        assert_paths_identical(
+            SemanticsInference(scratch_clone(knowledge), topology).best_path(
+                "r-adidas", "r-cashier", 300.0
+            ),
+            fresh,
+        )
+        assert bits(fresh.log_probability) != bits(memoized.log_probability)
 
     def test_compile_telemetry_counters(self, two_shop_shared):
         knowledge = fresh_knowledge()
@@ -506,10 +592,16 @@ operations = st.lists(
         st.tuples(st.just("fold"), st.integers(0, 11)),
         st.tuples(st.just("scale"), st.floats(0.25, 1.0, allow_nan=False)),
         st.tuples(st.just("roll"), st.just(0)),
+        st.tuples(st.just("retire"), st.just(0)),
+        st.tuples(st.just("pickle"), st.just(0)),
     ),
     min_size=1,
-    max_size=6,
+    max_size=8,
 )
+
+
+def walk_shard(index: int) -> PartialKnowledge:
+    return PartialKnowledge.from_sequences([corpus()[index]], REGIONS)
 
 
 class TestStalenessProperty:
@@ -520,14 +612,17 @@ class TestStalenessProperty:
         destination=region,
         duration=gap_duration,
     )
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=80, deadline=None)
     def test_interleaved_mutations_equal_fresh_compile(
         self, two_shop_shared, retention, ops, origin, destination, duration
     ):
         """One long-lived compiled inference, mutated between queries,
         answers exactly like a fresh compile of the current counts —
-        through folds, unfolds (window retirals), decay rescales and
-        direct observes, in any order."""
+        through folds, unfolds (window retirals, by ``roll`` and by a
+        direct ``retire``), decay rescales, direct observes and a pickle
+        round-trip of the knowledge, in any order — and after *every* op
+        the model ``ensure_compiled`` hands out equals a from-scratch
+        compile table for table, ``float.hex`` for ``float.hex``."""
         topology = two_shop_shared.topology
         store = KnowledgeStore(regions=REGIONS, retention=retention)
         live = SemanticsInference(store.knowledge, topology)
@@ -537,27 +632,72 @@ class TestStalenessProperty:
             if op == "observe":
                 store.knowledge.observe(sequences[argument])
             elif op == "fold":
-                store.fold(
-                    PartialKnowledge.from_sequences(
-                        [sequences[argument]], REGIONS
-                    ),
-                    start=clock,
-                    end=clock + 60.0,
-                )
+                store.fold(walk_shard(argument), start=clock, end=clock + 60.0)
                 clock += 60.0
             elif op == "scale":
                 store.knowledge.scale(argument)
+            elif op in ("roll", "retire"):
+                # Unfolding an epoch out of rescaled counts is refused;
+                # a refused unfold must leave the tables right too.
+                try:
+                    if op == "roll":
+                        store.roll(now=clock)
+                    elif store.epochs:
+                        store.retire(store.epochs[0])
+                except InferenceError:
+                    pass
             else:
-                store.roll(now=clock)
+                store.knowledge = pickle.loads(pickle.dumps(store.knowledge))
+                assert store.knowledge.compiled_model() is None
+                live = SemanticsInference(store.knowledge, topology)
+            knowledge = store.knowledge
+            model = ensure_compiled(knowledge, topology)
+            assert_equals_fresh_compile(model, knowledge, topology)
+            assert knowledge.compiled_model() is model
             answer = live.best_path(origin, destination, duration)
-            scratch = MobilityKnowledge.from_partials(
-                [store.to_partial()], regions=REGIONS
-            )
-            scratch.sequences_seen = store.knowledge.sequences_seen
-            expected = SemanticsInference(scratch, topology).best_path(
-                origin, destination, duration
-            )
+            expected = SemanticsInference(
+                scratch_clone(knowledge), topology
+            ).best_path(origin, destination, duration)
             assert_paths_identical(expected, answer)
+
+    def test_racing_threads_compile_the_same_tables(self, two_shop_shared):
+        """Eight threads-backend workers hit one knowledge object a fold
+        just staled: they may compile the generation more than once, but
+        every model is the fresh compile and the last attach is current."""
+        topology = two_shop_shared.topology
+        knowledge = fresh_knowledge()
+        ensure_compiled(knowledge, topology)
+        results: list = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for round_index in range(12):
+                knowledge.fold(walk_shard(round_index))
+                barrier = threading.Barrier(8)
+
+                def worker():
+                    barrier.wait(timeout=30)
+                    results.append(ensure_compiled(knowledge, topology))
+
+                threads = [threading.Thread(target=worker) for _ in range(8)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+                    assert not thread.is_alive()
+                expected = table_hex(
+                    CompiledTransitionModel.compile(
+                        scratch_clone(knowledge), topology
+                    )
+                )
+                assert len(results) == 8
+                for model in results:
+                    assert model.generation == knowledge.generation
+                    assert table_hex(model) == expected
+                assert knowledge.compiled_model() in results
+                results.clear()
+        finally:
+            sys.setswitchinterval(interval)
 
 
 # ----------------------------------------------------------------------
@@ -715,7 +855,11 @@ def test_live_finalize_matches_across_paths():
 
 
 def test_phase_two_chunk_flushes_compile_telemetry():
-    """One compile tick per chunk runner; memo counters flush alongside."""
+    """One compile tick per chunk runner; memo counters flush alongside.
+
+    Since the gap gate the runner primes only when its chunk holds a
+    gap: the dropout chunk below ticks exactly as before, and a gapless
+    chunk (the last assertion, the one addition) asks for no table."""
     from repro.core.translator import run_phase_one_chunk, run_phase_two_chunk
 
     translator = Translator(make_two_shop_dsm())
@@ -731,3 +875,157 @@ def test_phase_two_chunk_flushes_compile_telemetry():
         run_phase_two_chunk(translator, (knowledge, chunk.annotated))
     assert registry.counter("trips_inference_compiles_total").value == 1
     assert registry.counter("trips_inference_compile_hits_total").value == 1
+    gapless = run_phase_one_chunk(translator, shopper_feed()).annotated
+    knowledge.observe(gapless[0])  # stale: a prime would have to compile
+    with use_registry(registry):
+        run_phase_two_chunk(translator, (knowledge, gapless))
+    assert registry.counter("trips_inference_compiles_total").value == 1
+    assert registry.counter("trips_inference_compile_hits_total").value == 1
+
+
+# ----------------------------------------------------------------------
+# The gap gate: gapless sequences never reach the pool or the table
+# ----------------------------------------------------------------------
+def mixed_feed():
+    """Gap-bearing shoppers interleaved with short gapless dwellers."""
+    mixed = []
+    for index, shopper in enumerate(with_dropout(shopper_feed())):
+        mixed.append(shopper)
+        mixed.append(
+            stationary_sequence(
+                f"dweller-{index}", at=(15.0, 15.0, 1), count=12,
+                interval=15.0, start=40.0 * index, seed=100 + index,
+            )
+        )
+    return mixed
+
+
+def ungated_complements(translator, knowledge, annotated):
+    """The definition the gate must reproduce: every sequence through
+    ``complement()``, and the chunk runner over all of them at once."""
+    from repro.core.complementing import MobilitySemanticsComplementor
+    from repro.core.translator import run_phase_two_chunk
+
+    complementor = MobilitySemanticsComplementor(
+        knowledge, translator.model.topology, translator.config.complementing
+    )
+    expected = [complementor.complement(sequence) for sequence in annotated]
+    assert run_phase_two_chunk(translator, (knowledge, annotated)) == expected
+    return expected
+
+
+def assert_gated_results(results, expected):
+    """Result for result, and gapless slots untouched by phase two."""
+    assert [result.complement for result in results] == expected
+    found = [result.complement.gaps_found for result in results]
+    assert any(found) and not all(found)  # the feed exercises both sides
+    for result in results:
+        complement = result.complement
+        if not complement.gaps_found:
+            assert complement.sequence is result.annotation.sequence
+            assert (
+                complement.gaps_filled, complement.inferred_semantics
+            ) == (0, 0)
+
+
+@pytest.mark.parametrize("chunk_size", [1, 2, 8])
+@pytest.mark.parametrize("backend", ALL_BACKENDS)
+def test_gap_gate_matches_ungated_phase_two(backend, chunk_size):
+    """``translate_batch``, ``translate_increment`` and the live
+    service's ``finalize()`` complement a mixed feed exactly as the
+    ungated phase two does, on every backend and chunking."""
+    model = make_two_shop_dsm()
+    translator = Translator(model)
+    config = EngineConfig(backend=backend, workers=2, chunk_size=chunk_size)
+    engine = Engine(translator, config)
+    sequences = mixed_feed()
+
+    batch = engine.translate_batch(sequences)
+    assert_gated_results(
+        batch.results,
+        ungated_complements(
+            translator,
+            batch.knowledge,
+            [result.annotation.sequence for result in batch.results],
+        ),
+    )
+
+    store = engine.make_store()
+    incremental = []
+    expected = []
+    for window in (sequences[:4], sequences[4:5], sequences[5:]):
+        result, knowledge = engine.translate_increment(window, store=store)
+        store.roll()
+        incremental.extend(result.results)
+        expected.extend(
+            ungated_complements(
+                translator,
+                knowledge,
+                [r.annotation.sequence for r in result.results],
+            )
+        )
+    assert_gated_results(incremental, expected)
+
+    records = sorted(
+        (r for s in sequences for r in s.records),
+        key=lambda r: (r.timestamp, r.device_id),
+    )
+    service = LiveTranslationService(
+        {"shop": translator}, config, LiveConfig(window_seconds=600.0)
+    )
+    with service:
+        service.run_stream(RecordStream(iter(records)), venue_id="shop")
+        finalized = service.finalize()["shop"]
+    assert_gated_results(
+        finalized.results,
+        ungated_complements(
+            translator,
+            finalized.knowledge,
+            [result.annotation.sequence for result in finalized.results],
+        ),
+    )
+
+
+def test_gapless_window_never_reaches_the_pool():
+    """No gap-bearing sequence: phase two shares nothing, maps nothing
+    and compiles nothing, however stale the attached table is."""
+    from repro.engine import DEFAULT_CONTEXT_KEY, SerialBackend
+    from repro.engine.engine import _phase_two_task
+
+    class SpyBackend(SerialBackend):
+        shares = 0
+        phase_two_maps = 0
+
+        def share(self, value):
+            self.shares += 1
+            return super().share(value)
+
+        def map(self, fn, payloads):
+            self.phase_two_maps += fn is _phase_two_task
+            return super().map(fn, payloads)
+
+    translator = Translator(make_two_shop_dsm())
+    gapless = [
+        stationary_sequence(f"dweller-{i}", count=12, interval=15.0, seed=i)
+        for i in range(3)
+    ]
+    registry = MetricsRegistry()
+    with SpyBackend() as spy, use_registry(registry):
+        spy.open({DEFAULT_CONTEXT_KEY: translator})
+        engine = Engine(translator, EngineConfig(chunk_size=2), backend=spy)
+        store = engine.make_store()
+        result, knowledge = engine.translate_increment(gapless, store=store)
+        assert (spy.shares, spy.phase_two_maps) == (0, 0)
+        assert [r.complement.sequence for r in result.results] == [
+            r.annotation.sequence for r in result.results
+        ]
+        assert engine.complement(
+            [r.annotation.sequence for r in result.results], knowledge
+        ) == [r.complement for r in result.results]
+        assert (spy.shares, spy.phase_two_maps) == (0, 0)
+        # The same engine still maps a window that does hold a gap.
+        engine.translate_increment(
+            with_dropout(shopper_feed())[:2], store=store
+        )
+        assert (spy.shares, spy.phase_two_maps) == (1, 1)
+    assert registry.counter("trips_inference_compiles_total").value == 1
