@@ -12,14 +12,9 @@ Expected shape on an N-core machine: ``threads`` roughly flat (the phases
 are pure-Python CPU work holding the GIL), ``processes`` approaching N×
 on large batches once the pool fork + translator pickling is amortized.
 
-A second table compares the phase-one **record layouts** (objects vs
-columnar, see :mod:`repro.columnar`) per population: same serial engine,
-same sequences, bit-for-bit asserted identical output, phase-one seconds
-side by side.  The mall population must clear a >=1.5x columnar speedup —
-asserted, so the CI smoke run fails if the fast path regresses — and the
-whole comparison lands in a JSON artifact (``TRIPS_BENCH_ENGINE_JSON``,
-default ``BENCH_engine.json``) stamped with the population seeds
-for exact replay.
+Every run is asserted identical to the serial ``Translator.translate_batch``
+reference first; how fast the pipeline is end to end is the ledger's
+question (``benchmarks/e2e``), not this bench's.
 """
 
 from __future__ import annotations
@@ -27,7 +22,6 @@ from __future__ import annotations
 import pytest
 
 from repro.buildings import build_airport, build_office
-from repro.columnar import pipeline as columnar_pipeline
 from repro.core import Translator
 from repro.engine import BACKENDS, Engine, EngineConfig
 from repro.simulation import (
@@ -39,16 +33,11 @@ from repro.simulation import (
 )
 from repro.timeutil import HOUR, TimeRange
 
-from .conftest import BENCH_SEEDS, print_table, write_bench_json
+from .conftest import BENCH_SEEDS, print_table
 
 ALL_BACKENDS = sorted(BACKENDS)
 _ROWS: list[list] = []
 _SERIAL_SECONDS: dict[str, float] = {}
-_LAYOUT_ROWS: list[list] = []
-_LAYOUT_SUMMARY: dict[str, dict] = {}
-
-#: The acceptance floor for the columnar fast path on the mall population.
-MALL_MIN_SPEEDUP = 1.5
 
 
 def _population(model, profiles, count, seed):
@@ -136,65 +125,6 @@ def test_engine_throughput(benchmark, venues, venue, backend):
     )
 
 
-@pytest.mark.parametrize("venue", ["mall", "airport", "office"])
-def test_record_layout_speedup(benchmark, venues, venue):
-    """Objects vs columnar phase one, per population.
-
-    Both layouts run through the same serial engine over the same
-    sequences; output must be bit-for-bit identical, and phase-one wall
-    time (``clean+annotate``, the only phase the layout touches) is
-    compared directly.  The mall population — the paper's primary venue —
-    must clear :data:`MALL_MIN_SPEEDUP`.
-    """
-    translator, sequences, serial = venues[venue]
-
-    def phase_one_seconds(layout):
-        engine = Engine(
-            translator, EngineConfig(chunk_size=4, record_layout=layout)
-        )
-        best = None
-        for _ in range(2):  # best-of-2 damps scheduler noise
-            batch = engine.translate_batch(sequences)
-            assert batch.results == serial.results
-            assert batch.knowledge == serial.knowledge
-            seconds = batch.stats.phase("clean+annotate").seconds
-            best = seconds if best is None else min(best, seconds)
-        return best
-
-    chunks_before = columnar_pipeline.CHUNKS_RUN
-    objects_seconds = phase_one_seconds("objects")
-    columnar_seconds = benchmark.pedantic(
-        lambda: phase_one_seconds("columnar"), rounds=1, iterations=1
-    )
-    # The columnar leg must actually have run its pipeline — a silent
-    # fallback to the object path would "win" every comparison.
-    assert columnar_pipeline.CHUNKS_RUN > chunks_before
-    speedup = (
-        objects_seconds / columnar_seconds if columnar_seconds else float("inf")
-    )
-    records = sum(len(s) for s in sequences)
-    _LAYOUT_ROWS.append(
-        [
-            venue,
-            records,
-            f"{objects_seconds:.3f} s",
-            f"{columnar_seconds:.3f} s",
-            f"{speedup:.2f}x",
-        ]
-    )
-    _LAYOUT_SUMMARY[venue] = {
-        "records": records,
-        "objects_phase_one_seconds": objects_seconds,
-        "columnar_phase_one_seconds": columnar_seconds,
-        "speedup": speedup,
-    }
-    if venue == "mall":
-        assert speedup >= MALL_MIN_SPEEDUP, (
-            f"columnar phase one only {speedup:.2f}x faster on the mall "
-            f"population (floor: {MALL_MIN_SPEEDUP}x)"
-        )
-
-
 def teardown_module(module) -> None:
     print_table(
         "Engine: serial vs parallel batch translation",
@@ -202,19 +132,3 @@ def teardown_module(module) -> None:
          "throughput", "vs serial"],
         _ROWS,
     )
-    if _LAYOUT_ROWS:
-        print_table(
-            "Engine: phase-one record layouts (objects vs columnar)",
-            ["venue", "records", "objects", "columnar", "speedup"],
-            _LAYOUT_ROWS,
-        )
-        out = write_bench_json(
-            "TRIPS_BENCH_ENGINE_JSON",
-            "BENCH_engine.json",
-            {
-                "bench": "engine-record-layouts",
-                "mall_min_speedup": MALL_MIN_SPEEDUP,
-                "venues": _LAYOUT_SUMMARY,
-            },
-        )
-        print(f"layout comparison JSON -> {out}")

@@ -331,10 +331,10 @@ def main() -> None:
             )
         ]
         engine = Engine(Translator(mall), EngineConfig(chunk_size=4))
-        recent = None
+        recent = engine.make_store(retention="unbounded")
         for window in windows[-max_epochs:]:
-            _, recent = engine.translate_increment(window, recent)
-        identical = runs[spec].knowledge == recent
+            engine.translate_increment(window, store=recent)
+        identical = runs[spec].knowledge == recent.knowledge
         print(
             f"  {spec} prior == fold of last {max_epochs} windows only: "
             f"{identical}"

@@ -4,9 +4,9 @@
 Simulates a mall crowd, then translates it three ways — the serial
 Translator, the engine's thread pool, and the engine's process pool —
 verifying that every path produces identical mobility semantics and
-printing each run's per-phase profile.  Then compares the two knowledge
-build strategies (sharded shard-merge vs serial rebuild at the barrier),
-runs the streaming path — the same records replayed through a
+printing each run's per-phase profile.  Then sets the engine's sharded
+knowledge barrier beside the serial translator's rebuild, runs the
+streaming path — the same records replayed through a
 RecordStream and translated without ever materializing the full batch —
 and finishes by folding a late window's PartialKnowledge into the
 existing knowledge incrementally.
@@ -60,25 +60,18 @@ def main() -> None:
         print(batch.stats.format_table())
         print(f"  throughput: {batch.records_per_second:,.0f} records/s")
 
-    # Knowledge build strategies (CLI: trips translate --backend ...
-    # --knowledge-build sharded): "sharded" (the default) has each
-    # phase-one worker emit its chunk's PartialKnowledge, so the barrier
-    # only merges shard counts; "rebuild" re-observes every annotated
-    # sequence on the caller.  Both produce byte-identical knowledge.
-    print("\n[knowledge build strategies]")
-    for strategy in ("rebuild", "sharded"):
-        engine = Engine(
-            translator,
-            EngineConfig(
-                backend="processes", chunk_size=4, knowledge_build=strategy
-            ),
-        )
-        batch = engine.translate_batch(sequences)
-        barrier = batch.stats.phase("knowledge").seconds
-        print(
-            f"  {strategy:<8} barrier {barrier * 1e3:7.2f} ms  "
-            f"identical to serial: {batch.knowledge == serial.knowledge}"
-        )
+    # The knowledge barrier: each engine phase-one worker emits its
+    # chunk's PartialKnowledge, so the barrier only merges shard counts;
+    # the serial translator re-observes every annotated sequence.  Both
+    # produce byte-identical knowledge.
+    print("\n[knowledge barrier]")
+    rebuild = serial.stats.phase("knowledge").seconds
+    sharded = batch.stats.phase("knowledge").seconds
+    print(f"  serial rebuild  {rebuild * 1e3:7.2f} ms")
+    print(
+        f"  engine merge    {sharded * 1e3:7.2f} ms  "
+        f"identical knowledge: {batch.knowledge == serial.knowledge}"
+    )
 
     # Streaming ingestion: replay the records as a live feed and translate
     # it chunk by chunk, without materializing the batch up front.

@@ -9,7 +9,13 @@ CI runs this so the project documentation cannot rot silently:
    invariant their docs promise;
 3. ``README.md`` and ``docs/architecture.md`` exist and are non-trivial;
 4. every ``python`` code block in those documents *compiles* — examples
-   may drift semantically, but they may not stop parsing.
+   may drift semantically, but they may not stop parsing;
+5. every ``--flag`` and ``TRIPS_*`` name those documents mention still
+   occurs in the source it belongs to (the ``trips`` CLI under
+   ``src/repro``, or a bench / example script the documents invoke), so
+   a removed switch cannot live on in the docs;
+6. nothing under ``src/repro`` reads a ``TRIPS_*`` environment variable:
+   behaviour is selected by arguments, never by the process environment.
 
 Exits non-zero listing every problem found (not just the first).
 """
@@ -38,6 +44,15 @@ INVARIANT_PACKAGES = {
 }
 
 CODE_BLOCK = re.compile(r"```python\n(.*?)```", re.DOTALL)
+FLAG = re.compile(r"(?<![\w-])--[a-z][a-z0-9-]+")
+ENV_NAME = re.compile(r"\bTRIPS_[A-Z_]+\b")
+ENV_READ = re.compile(r"(?:environ|getenv)[^\"']{0,40}[\"'](TRIPS_[A-Z_]+)")
+
+#: Python sources a documented flag or variable may belong to: the
+#: package first, then the scripts the documents tell readers to run.
+SWITCH_SOURCES = ("src/repro", "benchmarks", "examples")
+#: Flags of third-party tools the documents invoke.
+FOREIGN_FLAGS = {"--benchmark-disable"}  # pytest-benchmark
 
 
 def module_name(path: Path) -> str:
@@ -83,10 +98,36 @@ def check_documents(problems: list[str]) -> None:
                 )
 
 
+def check_switches(problems: list[str]) -> None:
+    sources = "\n".join(
+        path.read_text(encoding="utf-8")
+        for root in SWITCH_SOURCES
+        for path in sorted((ROOT / root).rglob("*.py"))
+    )
+    for relative in DOCUMENTS:
+        path = ROOT / relative
+        if not path.exists():
+            continue  # reported by check_documents
+        text = path.read_text(encoding="utf-8")
+        names = set(FLAG.findall(text)) - FOREIGN_FLAGS
+        names |= set(ENV_NAME.findall(text))
+        for name in sorted(names):
+            if f'"{name}"' not in sources:
+                problems.append(
+                    f"{relative}: mentions {name}, which no source defines"
+                )
+    for path in sorted(SRC.rglob("*.py")):
+        for name in ENV_READ.findall(path.read_text(encoding="utf-8")):
+            problems.append(
+                f"{module_name(path)}: reads the {name} environment variable"
+            )
+
+
 def main() -> int:
     problems: list[str] = []
     check_docstrings(problems)
     check_documents(problems)
+    check_switches(problems)
     if problems:
         print("docs check FAILED:")
         for problem in problems:

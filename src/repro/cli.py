@@ -75,22 +75,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="sequences per engine work chunk; requires --backend",
     )
     translate.add_argument(
-        "--knowledge-build",
-        choices=("rebuild", "sharded"),
-        default=None,
-        help="engine barrier strategy: 'sharded' (default) merges per-chunk "
-        "knowledge shards built on the workers, 'rebuild' re-observes every "
-        "annotated sequence on the caller; requires --backend",
-    )
-    translate.add_argument(
-        "--record-layout",
-        choices=("objects", "columnar"),
-        default=None,
-        help="phase-one record layout: 'columnar' runs the flat-array "
-        "kernels (default), 'objects' the bit-for-bit-equivalent per-record "
-        "reference pipeline; requires --backend",
-    )
-    translate.add_argument(
         "--telemetry-dump",
         type=Path,
         default=None,
@@ -133,13 +117,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument("--workers", type=int, default=None)
     serve.add_argument("--chunk-size", type=int, default=None)
-    serve.add_argument(
-        "--record-layout",
-        choices=("objects", "columnar"),
-        default=None,
-        help="phase-one record layout for every venue's windows (default: "
-        "columnar; 'objects' is the bit-for-bit-equivalent reference)",
-    )
     serve.add_argument(
         "--retention",
         default=None,
@@ -340,21 +317,11 @@ def _cmd_translate(args) -> None:
         kwargs = {"backend": args.backend, "workers": args.workers}
         if args.chunk_size is not None:
             kwargs["chunk_size"] = args.chunk_size
-        if args.knowledge_build is not None:
-            kwargs["knowledge_build"] = args.knowledge_build
-        if args.record_layout is not None:
-            kwargs["record_layout"] = args.record_layout
         engine = EngineConfig(**kwargs)
-    elif (
-        args.workers is not None
-        or args.chunk_size is not None
-        or args.knowledge_build is not None
-        or args.record_layout is not None
-    ):
+    elif args.workers is not None or args.chunk_size is not None:
         raise ConfigError(
-            "--workers/--chunk-size/--knowledge-build/--record-layout tune "
-            "an explicitly chosen engine; name its --backend (serial, "
-            "threads or processes) as well"
+            "--workers/--chunk-size tune an explicitly chosen engine; name "
+            "its --backend (serial, threads or processes) as well"
         )
     config = load_task(args.config)
     with _telemetry_session(dump_path=args.telemetry_dump):
@@ -423,8 +390,6 @@ def _cmd_serve(args) -> None:
     engine_kwargs = {"backend": args.backend, "workers": args.workers}
     if args.chunk_size is not None:
         engine_kwargs["chunk_size"] = args.chunk_size
-    if args.record_layout is not None:
-        engine_kwargs["record_layout"] = args.record_layout
     engine_config = EngineConfig(**engine_kwargs)
     live_kwargs = {
         "window_seconds": args.window_seconds,

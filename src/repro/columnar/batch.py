@@ -14,11 +14,10 @@ doubles verbatim, ``array('q')`` stores the floor integers exactly), in
 the original order.  ``tests/test_columnar_equivalence.py`` property-tests
 this invariant, including empty windows and single-record devices.
 
-numpy is optional: :meth:`RecordBatch.column` returns zero-copy
-``float64``/``int64`` views when numpy is importable and plain
-``array`` columns otherwise.  Every *decision* made over the columns is
-taken with scalar arithmetic (see :mod:`repro.columnar.locate`), so the
-numpy fast path can only accelerate, never change, results.
+:meth:`RecordBatch.column` returns zero-copy numpy ``float64``/``int64``
+views of the columns.  Every *decision* made over the columns is taken
+with scalar arithmetic (see :mod:`repro.columnar.locate`), so the
+vectorized prime can only accelerate, never change, results.
 """
 
 from __future__ import annotations
@@ -26,15 +25,9 @@ from __future__ import annotations
 from array import array
 from typing import Iterable, Sequence
 
+import numpy as _np
+
 from ..positioning import PositioningSequence, RawPositioningRecord
-
-try:  # pragma: no cover - exercised via both CI matrix legs
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy-free environments
-    _np = None
-
-#: Whether the optional numpy fast path is importable in this process.
-NUMPY_AVAILABLE = _np is not None
 
 
 class RecordBatch:
@@ -145,13 +138,13 @@ class RecordBatch:
         return len(self.timestamps)
 
     def column(self, name: str):
-        """A column by name, as a zero-copy numpy view when available.
+        """A column by name, as a zero-copy numpy view.
 
-        Falls back to the backing ``array`` (same buffer, same values)
-        without numpy; ``device_ids`` is always the plain list.
+        ``device_ids`` is always the plain list (and an absent quality
+        column ``None``).
         """
         values = getattr(self, name)
-        if name == "device_ids" or values is None or _np is None:
+        if name == "device_ids" or values is None:
             return values
         return _np.frombuffer(
             values, dtype=_np.int64 if name == "floors" else _np.float64

@@ -52,8 +52,9 @@ equivalence contract.
 from __future__ import annotations
 
 import math
-import os
 from itertools import compress, repeat
+
+import numpy as _np
 
 from ..dsm import DigitalSpaceModel
 from ..dsm.entities import IndoorEntity
@@ -67,23 +68,14 @@ from ..geometry import (
     shape_distance_to_point,
 )
 from ..geometry.segment import _EPS as _SEGMENT_EPS
-from .batch import NUMPY_AVAILABLE, RecordBatch
-
-if NUMPY_AVAILABLE:  # pragma: no branch - module-level import guard
-    import numpy as _np
-else:  # pragma: no cover - numpy-free environments
-    _np = None
+from .batch import RecordBatch
 
 #: Boundary tolerance of ``Polygon.contains_point`` / ``Circle.contains_point``.
 _BOUNDARY_EPS = 1e-9
 _SEGMENT_EPS_SQ = _SEGMENT_EPS * _SEGMENT_EPS
 
-#: Set ``TRIPS_COLUMNAR_NUMPY=0`` to force the pure-python prime path.
-_NUMPY_ENABLED = NUMPY_AVAILABLE and os.environ.get(
-    "TRIPS_COLUMNAR_NUMPY", "1"
-) != "0"
-
-#: Counts numpy-vectorized prime sweeps, for the CI silent-skip guard.
+#: Counts numpy-vectorized prime sweeps; the tests read it to pin which
+#: side of the :data:`_VECTOR_PRIME_MIN_ROWS` crossover a batch took.
 NUMPY_PRIME_COUNT = 0
 
 #: Batches below this many rows are primed point by point: a vectorized
@@ -287,16 +279,12 @@ class _FloorTable:
         self.entries = entries
         #: ``model.partitions(floor)`` order (by id), for the nearest scan.
         self.by_key = sorted(entries, key=lambda entry: entry.key)
-        if _NUMPY_ENABLED:
-            self.min_x = _np.array([e.min_x for e in entries])
-            self.min_y = _np.array([e.min_y for e in entries])
-            self.max_x = _np.array([e.max_x for e in entries])
-            self.max_y = _np.array([e.max_y for e in entries])
-            self.rect = _np.array([e.rect for e in entries], dtype=bool)
-            self.area = _np.array([e.area for e in entries])
-        else:
-            self.min_x = self.min_y = self.max_x = self.max_y = None
-            self.rect = self.area = None
+        self.min_x = _np.array([e.min_x for e in entries])
+        self.min_y = _np.array([e.min_y for e in entries])
+        self.max_x = _np.array([e.max_x for e in entries])
+        self.max_y = _np.array([e.max_y for e in entries])
+        self.rect = _np.array([e.rect for e in entries], dtype=bool)
+        self.area = _np.array([e.area for e in entries])
 
     def sweep(self, fxs, fys):
         """Containment as far as comparisons alone decide it.
@@ -425,15 +413,15 @@ class LocatorSession:
     def prime(self, batch: RecordBatch) -> None:
         """Locate every batch row up front, filling both memos.
 
-        With numpy, each floor of a large enough batch is swept with
-        vectorized bounding-box comparisons (:meth:`_FloorTable.sweep`);
-        rows they fully decide — on rectangle-only venues, all but points
-        on a max edge — are resolved without a per-row kernel call, and
-        the rest fall through to the scalar per-point path, as every row
-        does without numpy or in a small batch.
+        Each floor of a large enough batch is swept with vectorized
+        bounding-box comparisons (:meth:`_FloorTable.sweep`); rows they
+        fully decide — on rectangle-only venues, all but points on a max
+        edge — are resolved without a per-row kernel call, and the rest
+        fall through to the scalar per-point path, as every row of a
+        small batch does.
         """
         n = len(batch)
-        if not _NUMPY_ENABLED or n < _VECTOR_PRIME_MIN_ROWS:
+        if n < _VECTOR_PRIME_MIN_ROWS:
             for i in range(n):
                 self.partition_entity(batch.xs[i], batch.ys[i], batch.floors[i])
                 self.primary_region(batch.xs[i], batch.ys[i], batch.floors[i])

@@ -22,8 +22,6 @@ never the aggregates themselves.
 
 from __future__ import annotations
 
-import json
-import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -36,7 +34,7 @@ from ..core.translator import (
     TranslationResult,
     Translator,
 )
-from ..durability import FORMAT_VERSION
+from ..durability import FORMAT_VERSION, read_state_file, write_state_file
 from ..engine import EngineConfig
 from ..errors import ConfigError, PersistenceError
 from ..knowledge import RetentionPolicy, Unbounded, parse_retention
@@ -283,7 +281,7 @@ class ShardedIngestService:
     def _persist_cluster(self) -> None:
         if self._state_dir is None:
             return
-        _write_atomic(
+        write_state_file(
             self._cluster_path(),
             {
                 "magic": "trips-cluster",
@@ -297,7 +295,7 @@ class ShardedIngestService:
     def _persist_exchange(self) -> None:
         for shard in self.shards:
             shard.checkpoint()
-        _write_atomic(
+        write_state_file(
             self._exchange_path(),
             {
                 "magic": "trips-exchange",
@@ -307,12 +305,14 @@ class ShardedIngestService:
         )
 
     def _recover_cluster(self) -> None:
-        exchange_payload = _read_atomic(
+        exchange_payload = read_state_file(
             self._exchange_path(), "trips-exchange"
         )
         if exchange_payload is not None:
             self.exchange.restore_state(exchange_payload["state"])
-        cluster_payload = _read_atomic(self._cluster_path(), "trips-cluster")
+        cluster_payload = read_state_file(
+            self._cluster_path(), "trips-cluster"
+        )
         if cluster_payload is not None:
             self._windows = cluster_payload["windows"]
             self._since_exchange = cluster_payload["since_exchange"]
@@ -560,36 +560,3 @@ def _result_order(result: TranslationResult) -> tuple:
     """Deterministic cross-shard ordering: device, then first timestamp."""
     records = result.raw.records
     return (result.device_id, records[0].timestamp if records else 0.0)
-
-
-def _write_atomic(path: Path, payload: dict) -> None:
-    """Publish one JSON state file by fsync + atomic rename."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp_path = path.with_suffix(path.suffix + ".tmp")
-    with open(tmp_path, "wb") as handle:
-        handle.write(
-            json.dumps(payload, separators=(",", ":"), sort_keys=True).encode(
-                "utf-8"
-            )
-        )
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp_path, path)
-
-
-def _read_atomic(path: Path, magic: str) -> "dict | None":
-    """Read one published state file; ``None`` when it does not exist."""
-    if not path.exists():
-        return None
-    try:
-        payload = json.loads(path.read_bytes())
-    except ValueError as exc:
-        raise PersistenceError(f"{path} is corrupt: {exc}") from exc
-    if not isinstance(payload, dict) or payload.get("magic") != magic:
-        raise PersistenceError(f"{path} is not a {magic!r} state file")
-    if payload.get("version") != FORMAT_VERSION:
-        raise PersistenceError(
-            f"{path} is format version {payload.get('version')!r}; this "
-            f"build reads version {FORMAT_VERSION}"
-        )
-    return payload

@@ -39,7 +39,12 @@ from .codec import (
     encode_records,
     encode_retention,
 )
-from .journal import SNAPSHOT_MAGIC, DurableStateJournal
+from .journal import (
+    SNAPSHOT_MAGIC,
+    DurableStateJournal,
+    read_state_file,
+    write_state_file,
+)
 from .wal import WAL_MAGIC, WriteAheadLog
 
 __all__ = [
@@ -54,4 +59,6 @@ __all__ = [
     "encode",
     "encode_records",
     "encode_retention",
+    "read_state_file",
+    "write_state_file",
 ]

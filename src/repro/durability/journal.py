@@ -41,6 +41,50 @@ from .wal import WriteAheadLog
 SNAPSHOT_MAGIC = "trips-snapshot"
 
 
+def write_state_file(path: Path, payload: dict) -> None:
+    """Publish one JSON state file by fsync + atomic rename.
+
+    The bytes land in ``<name>.tmp`` beside the target first, so a crash
+    mid-write leaves the previously published file intact (the rename is
+    atomic on POSIX).
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp_path = path.with_suffix(path.suffix + ".tmp")
+    with open(tmp_path, "wb") as handle:
+        handle.write(
+            json.dumps(payload, separators=(",", ":"), sort_keys=True).encode(
+                "utf-8"
+            )
+        )
+        handle.flush()
+        os.fsync(handle.fileno())
+    os.replace(tmp_path, path)
+
+
+def read_state_file(path: Path, magic: str) -> "dict | None":
+    """Read one published state file; ``None`` when it does not exist.
+
+    State files are published by atomic rename, so a torn one means the
+    directory was damaged, not that a crash raced the writer: unparsable
+    bytes, a foreign magic or another format version all raise
+    :class:`~repro.errors.PersistenceError`.
+    """
+    if not path.exists():
+        return None
+    try:
+        payload = json.loads(path.read_bytes())
+    except ValueError as exc:
+        raise PersistenceError(f"{path} is corrupt: {exc}") from exc
+    if not isinstance(payload, dict) or payload.get("magic") != magic:
+        raise PersistenceError(f"{path} is not a {magic!r} state file")
+    if payload.get("version") != FORMAT_VERSION:
+        raise PersistenceError(
+            f"{path} is format version {payload.get('version')!r}; this "
+            f"build reads version {FORMAT_VERSION}"
+        )
+    return payload
+
+
 class DurableStateJournal:
     """Snapshot + WAL pair for one service (or one shard) instance."""
 
@@ -84,40 +128,23 @@ class DurableStateJournal:
             raise PersistenceError(
                 f"journal {self.directory} is not open"
             )
-        snapshot = self._read_snapshot()
-        covered = -1 if snapshot is None else snapshot["windows"] - 1
+        snapshot = read_state_file(self.snapshot_path, SNAPSHOT_MAGIC)
+        covered = -1
+        if snapshot is not None:
+            windows = snapshot.get("windows")
+            # bool is an int subclass; a snapshot never counts in booleans.
+            if type(windows) is not int or windows < 0:
+                raise PersistenceError(
+                    f"snapshot {self.snapshot_path} records an invalid "
+                    f"window count {windows!r}"
+                )
+            covered = windows - 1
         entries = [
             entry
             for entry in self._entries
             if entry.get("window", covered + 1) > covered
         ]
         return snapshot, entries
-
-    def _read_snapshot(self) -> "dict | None":
-        if not self.snapshot_path.exists():
-            return None
-        try:
-            payload = json.loads(self.snapshot_path.read_bytes())
-        except ValueError as exc:
-            # Snapshots are published by atomic rename; a torn one means
-            # the directory was damaged, not that a crash raced us.
-            raise PersistenceError(
-                f"snapshot {self.snapshot_path} is corrupt: {exc}"
-            ) from exc
-        if (
-            not isinstance(payload, dict)
-            or payload.get("magic") != SNAPSHOT_MAGIC
-        ):
-            raise PersistenceError(
-                f"{self.snapshot_path} is not a TRIPS snapshot"
-            )
-        if payload.get("version") != FORMAT_VERSION:
-            raise PersistenceError(
-                f"snapshot {self.snapshot_path} is format version "
-                f"{payload.get('version')!r}; this build reads version "
-                f"{FORMAT_VERSION}"
-            )
-        return payload
 
     # ------------------------------------------------------------------
     # Writing
@@ -135,22 +162,15 @@ class DurableStateJournal:
         """
         registry = get_registry()
         started = time.perf_counter() if registry.enabled else 0.0
-        payload = {
-            "magic": SNAPSHOT_MAGIC,
-            "version": FORMAT_VERSION,
-            "windows": windows,
-            **body,
-        }
-        tmp_path = self.snapshot_path.with_suffix(".json.tmp")
-        with open(tmp_path, "wb") as handle:
-            handle.write(
-                json.dumps(
-                    payload, separators=(",", ":"), sort_keys=True
-                ).encode("utf-8")
-            )
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp_path, self.snapshot_path)
+        write_state_file(
+            self.snapshot_path,
+            {
+                "magic": SNAPSHOT_MAGIC,
+                "version": FORMAT_VERSION,
+                "windows": windows,
+                **body,
+            },
+        )
         self.wal.reset()
         self.snapshots_written += 1
         if registry.enabled:

@@ -7,10 +7,9 @@ deterministically in input order — semantically identical results and
 knowledge to the serial ``Translator.translate_batch`` (only the timing
 stats differ), but bounded by the hardware instead of a single core.
 
-By default the barrier itself is sharded too: phase-one workers emit
-per-chunk ``PartialKnowledge`` aggregates and the caller only merges them
-(``EngineConfig.knowledge_build="sharded"``; see the strategy notes in
-:mod:`repro.engine.engine`).
+The barrier itself is sharded too: phase-one workers emit per-chunk
+``PartialKnowledge`` aggregates and the caller only merges them (see
+"The sharded barrier" in :mod:`repro.engine.engine`).
 """
 
 from .backends import (
@@ -28,8 +27,6 @@ from .chunking import iter_chunks, partition
 from .engine import (
     DEFAULT_CHUNK_SIZE,
     DEFAULT_CONTEXT_KEY,
-    KNOWLEDGE_BUILDS,
-    RECORD_LAYOUTS,
     Engine,
     EngineConfig,
 )
@@ -38,8 +35,6 @@ __all__ = [
     "BACKENDS",
     "DEFAULT_CHUNK_SIZE",
     "DEFAULT_CONTEXT_KEY",
-    "KNOWLEDGE_BUILDS",
-    "RECORD_LAYOUTS",
     "Engine",
     "EngineConfig",
     "ExecutionBackend",

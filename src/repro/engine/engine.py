@@ -28,27 +28,20 @@ and ``EngineConfig.retention``): folds go through the store, and the
 store's retention policy — unbounded, sliding-window, or exponential
 decay — decides at each epoch roll what the prior keeps remembering.
 
-Knowledge build strategies
---------------------------
+The sharded barrier
+-------------------
 
-The barrier in step 2 supports two strategies
-(``EngineConfig.knowledge_build``), both producing byte-identical
-knowledge and results:
-
-- ``"sharded"`` (default) — each phase-one worker also aggregates its
-  chunk's :class:`~repro.core.complementing.PartialKnowledge` shard (raw
-  transition counts, outgoing totals, per-region stats); the barrier then
-  merges the shards in O(#regions + #edges) per chunk.  The knowledge
-  build scales out with phase one instead of re-observing every sequence
-  on one core, so the ``knowledge`` phase in :class:`BatchStats` reports
-  pure merge time.
-- ``"rebuild"`` — the pre-sharding behaviour: the caller re-observes every
-  annotated sequence serially at the barrier.  Kept as the reference path
-  and for A/B benchmarks (``benchmarks/bench_knowledge_shard.py``).
-
-Sharding is exact, not approximate: dwell totals accumulate through
+Each phase-one worker also aggregates its chunk's
+:class:`~repro.core.complementing.PartialKnowledge` shard (raw transition
+counts, outgoing totals, per-region stats); the barrier in step 2 merges
+the shards in O(#regions + #edges) per chunk, so the knowledge build
+scales out with phase one and the ``knowledge`` phase in
+:class:`BatchStats` reports pure merge time.  Sharding is exact, not
+approximate: dwell totals accumulate through
 :class:`~repro.core.complementing.ExactSum`, so the merged aggregates are
-bit-for-bit independent of the chunking.
+bit-for-bit independent of the chunking — and equal to the reference's
+serial re-observation of every annotated sequence
+(``Translator.translate_batch``; ``tests/test_engine.py`` holds the proof).
 
 Warm pools and shared backends
 ------------------------------
@@ -64,26 +57,14 @@ backend: pass ``backend=`` to the constructor and the engine maps its
 phases onto that pool without opening or closing it.  This is how the
 live service in :mod:`repro.live` serves heterogeneous multi-building
 traffic from one worker pool.
-
-Phase-one caching
------------------
-
-``EngineConfig.phase_one_cache`` (off by default) memoizes clean+annotate
-per ``(device id, records)`` in a small engine-owned LRU.  Re-translating
-the same sequences — overlapping stream windows, or a re-run after
-tweaking the complementing config — then skips phase one entirely for the
-cached sequences while still producing the exact batch output (phase one
-is deterministic per sequence).
 """
 
 from __future__ import annotations
 
-import os
 import time
-from collections import OrderedDict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import partial as _bind
-from typing import Iterable, Iterator, Mapping
+from typing import ClassVar, Iterable, Iterator, Mapping
 
 from ..columnar import run_phase_one_chunk_columnar
 from ..core.complementing import (
@@ -100,9 +81,7 @@ from ..core.translator import (
     Translator,
     assemble_results,
     build_batch_knowledge,
-    build_partial_knowledge,
     gapless_complements,
-    run_phase_one_chunk,
     run_phase_two_chunk,
 )
 from ..errors import ConfigError
@@ -121,25 +100,6 @@ from .chunking import iter_chunks, partition
 #: fine enough to load-balance uneven sequence lengths.
 DEFAULT_CHUNK_SIZE = 8
 
-#: The two barrier strategies; both yield byte-identical knowledge.
-KNOWLEDGE_BUILDS = ("rebuild", "sharded")
-
-#: Phase-one record layouts; both produce bit-for-bit identical output
-#: (``tests/test_columnar_equivalence.py`` is the proof).  ``"columnar"``
-#: is the default pipeline; ``"objects"`` is the reference oracle the
-#: differential suites and the ledger's digest checks compare against.
-RECORD_LAYOUTS = ("objects", "columnar")
-
-
-def _default_record_layout() -> str:
-    """Engine default layout, overridable via ``TRIPS_RECORD_LAYOUT``.
-
-    The environment override is what makes CI's ``record-layout: objects``
-    matrix leg honest: the whole tier-1 suite runs its engines on the
-    object-model oracle without every test naming the layout explicitly.
-    """
-    return os.environ.get("TRIPS_RECORD_LAYOUT", "columnar")
-
 #: Context key of a stand-alone engine in its single-entry venue map.
 DEFAULT_CONTEXT_KEY = "default"
 
@@ -147,27 +107,21 @@ DEFAULT_CONTEXT_KEY = "default"
 def _phase_one_task(
     venues: Mapping[str, Translator],
     payload: tuple[str, list[PositioningSequence]],
-    emit_partial: bool = False,
-    record_layout: str = "columnar",
+    emit_partial: bool,
 ) -> PhaseOneChunk:
     """Phase-one worker task: resolve the venue translator, run the chunk.
 
     The context is a venue map so one pool can serve several translators;
-    a stand-alone engine opens the map with a single entry.
-    ``record_layout`` picks the columnar kernels (the default) or the
-    per-record object pipeline — both produce identical chunks, so the
-    choice is invisible to everything past this dispatch.
+    a stand-alone engine opens the map with a single entry.  The chunk
+    runs on the columnar kernels and, unless the caller wants phase one
+    alone (:meth:`Engine.phase_one`), aggregates its knowledge shard for
+    the barrier to merge.
     """
     key, chunk = payload
     started = time.perf_counter()
-    if record_layout == "columnar":
-        result = run_phase_one_chunk_columnar(
-            venues[key], chunk, emit_partial=emit_partial
-        )
-    else:
-        result = run_phase_one_chunk(
-            venues[key], chunk, emit_partial=emit_partial
-        )
+    result = run_phase_one_chunk_columnar(
+        venues[key], chunk, emit_partial=emit_partial
+    )
     # Worker-side timing rides home on the chunk itself: with the
     # ``processes`` backend there is no shared registry, so the float on
     # the result is how per-chunk telemetry crosses the process boundary.
@@ -217,14 +171,13 @@ class EngineConfig:
     backend: str = "serial"
     workers: int | None = None
     chunk_size: int = DEFAULT_CHUNK_SIZE
-    knowledge_build: str = "sharded"
-    phase_one_cache: int = 0
     retention: str = "unbounded"
-    #: Phase-one record layout: ``"columnar"`` (flat-array kernels, the
-    #: default) or ``"objects"`` (the per-record reference pipeline,
-    #: bit-for-bit identical output).  ``TRIPS_RECORD_LAYOUT`` overrides
-    #: the default when set.
-    record_layout: str = field(default_factory=_default_record_layout)
+    #: Not an option: phase one always runs the columnar kernels.  The
+    #: constant exists only because the ledger's re-drive
+    #: (``benchmarks/e2e/trace.py::_chunk_runner``) picks its chunk runner
+    #: from this attribute and would otherwise silently time the object
+    #: model; ROADMAP item 2b (the re-drive retired) retires it.
+    record_layout: ClassVar[str] = "columnar"
 
     def __post_init__(self) -> None:
         if self.backend not in BACKENDS:
@@ -238,42 +191,7 @@ class EngineConfig:
             raise ConfigError(
                 f"chunk size must be >= 1, got {self.chunk_size}"
             )
-        if self.knowledge_build not in KNOWLEDGE_BUILDS:
-            known = ", ".join(KNOWLEDGE_BUILDS)
-            raise ConfigError(
-                f"unknown knowledge build strategy "
-                f"{self.knowledge_build!r} (known: {known})"
-            )
-        if self.phase_one_cache < 0:
-            raise ConfigError(
-                f"phase-one cache size must be >= 0, got "
-                f"{self.phase_one_cache}"
-            )
-        if self.record_layout not in RECORD_LAYOUTS:
-            known = ", ".join(RECORD_LAYOUTS)
-            raise ConfigError(
-                f"unknown record layout {self.record_layout!r} "
-                f"(known: {known})"
-            )
         parse_retention(self.retention)  # validate the spec eagerly
-
-
-def _phase_one_cache_key(sequence: PositioningSequence) -> tuple:
-    """Exact memoization key: device id plus every record's coordinates.
-
-    The full coordinate tuple (not a hash digest) is used so lookups can
-    never collide; the LRU is small, so holding the key tuples is cheap.
-    The key is deliberately layout-independent: both record layouts
-    produce identical phase-one results, so a pair cached under one
-    layout is byte-valid under the other.
-    """
-    return (
-        sequence.device_id,
-        tuple(
-            (r.timestamp, r.location.x, r.location.y, r.location.floor)
-            for r in sequence.records
-        ),
-    )
 
 
 def _window_span(
@@ -322,9 +240,6 @@ class Engine:
         self.config = config if config is not None else EngineConfig()
         self.context_key = context_key
         self._attached = backend
-        self._phase_one_cache: "OrderedDict[tuple, tuple]" | None = (
-            OrderedDict() if self.config.phase_one_cache > 0 else None
-        )
 
     def translate_batch(
         self, sequences: Iterable[PositioningSequence]
@@ -351,30 +266,25 @@ class Engine:
     def translate_increment(
         self,
         sequences: Iterable[PositioningSequence],
-        knowledge: MobilityKnowledge | None = None,
         *,
-        store: KnowledgeStore | None = None,
-    ) -> tuple[BatchTranslationResult, MobilityKnowledge | None]:
-        """Translate one stream window, folding its shard into ``knowledge``.
+        store: KnowledgeStore | None,
+    ) -> BatchTranslationResult:
+        """Translate one stream window, folding its shards into ``store``.
 
         The incremental path of the live streaming service: phase one
         runs as usual, but instead of building fresh batch knowledge at
-        the barrier, the window's :class:`PartialKnowledge` is **folded**
-        into the given long-running ``knowledge`` (created on first call
-        when ``None``), and phase two complements the window against the
-        folded cumulative state.  Returns ``(window result, knowledge)``;
-        the returned knowledge is the same evolving object — pass it back
-        in for the next window.
+        the barrier, the window's :class:`PartialKnowledge` shards are
+        **folded** into the store's long-running knowledge, and phase two
+        complements the window against the folded cumulative state
+        (``result.knowledge`` is ``store.knowledge``, the same evolving
+        object window after window).  The store (see :meth:`make_store`)
+        owns the lifecycle: its retention policy may retire or discount
+        old epochs at the caller's epoch rolls — the live service holds
+        one store per venue and rolls once per ingestion window.
 
-        Knowledge ownership lives in a
-        :class:`~repro.knowledge.KnowledgeStore`: pass ``store=`` (see
-        :meth:`make_store`) to fold into a store whose retention policy
-        may retire or discount old epochs at the caller's epoch rolls —
-        the live service holds one store per venue and rolls once per
-        ingestion window.  Without ``store``, a bare ``knowledge`` object
-        is wrapped in a transient unbounded store, which preserves the
-        legacy fold-forever behaviour exactly (the caller's object is
-        mutated in place, as before).
+        ``store=None`` means what :meth:`make_store` returning ``None``
+        means: this venue keeps no knowledge, so nothing folds and phase
+        two is skipped.
 
         Folding is exact (see :class:`~repro.core.complementing.ExactSum`),
         so under unbounded retention the cumulative knowledge after the
@@ -384,17 +294,11 @@ class Engine:
         at end of stream (see ``LiveTranslationService.finalize``) to
         reproduce the one-shot batch output exactly.
         """
-        if store is not None and knowledge is not None:
-            raise ConfigError(
-                "pass either a knowledge object or a store, not both"
-            )
-        result = self._run(
+        return self._run(
             partition(list(sequences), self.config.chunk_size),
-            fold_into=knowledge,
             incremental=True,
             store=store,
         )
-        return result, result.knowledge
 
     def make_store(
         self,
@@ -423,21 +327,14 @@ class Engine:
         regions = self.translator.knowledge_regions()
         if regions is None:
             return None
+        if retention is None:
+            retention = self.config.retention
         if knowledge is not None:
-            return KnowledgeStore(
-                knowledge=knowledge,
-                retention=(
-                    retention
-                    if retention is not None
-                    else self.config.retention
-                ),
-            )
+            return KnowledgeStore(knowledge=knowledge, retention=retention)
         return KnowledgeStore(
             regions,
             smoothing=self.translator.config.knowledge_smoothing,
-            retention=(
-                retention if retention is not None else self.config.retention
-            ),
+            retention=retention,
         )
 
     def phase_one(
@@ -532,9 +429,7 @@ class Engine:
             ):
                 if registry.enabled:
                     registry.histogram(
-                        "trips_engine_chunk_seconds",
-                        phase="two",
-                        layout=self.config.record_layout,
+                        "trips_engine_chunk_seconds", phase="two"
                     ).observe(seconds)
                 for result in chunk_result:
                     complements[next(slots)] = result
@@ -554,8 +449,6 @@ class Engine:
         ``map()`` yields chunk results in the same submission order,
         keeping the lists aligned for the deterministic input-order merge.
         """
-        if self._phase_one_cache is not None:
-            return self._map_phase_one_cached(backend, chunks, emit_partial)
         consumed: list[list[PositioningSequence]] = []
         key = self.context_key
 
@@ -564,13 +457,17 @@ class Engine:
                 consumed.append(chunk)
                 yield (key, chunk)
 
-        fn = _bind(
-            _phase_one_task,
-            emit_partial=emit_partial,
-            record_layout=self.config.record_layout,
-        )
+        fn = _bind(_phase_one_task, emit_partial=emit_partial)
         phase_one_chunks = list(backend.map(fn, payloads()))
-        self._observe_phase_one_chunks(phase_one_chunks)
+        registry = get_registry()
+        if registry.enabled and phase_one_chunks:
+            # The workers' ride-along chunk timings.
+            histogram = registry.histogram(
+                "trips_engine_chunk_seconds", phase="one"
+            )
+            for chunk in phase_one_chunks:
+                if chunk.seconds is not None:
+                    histogram.observe(chunk.seconds)
         pairs = [pair for chunk in phase_one_chunks for pair in chunk.pairs]
         partials = [
             chunk.partial
@@ -579,127 +476,23 @@ class Engine:
         ]
         return consumed, pairs, partials
 
-    def _observe_phase_one_chunks(self, chunks: "list[PhaseOneChunk]") -> None:
-        """Feed the workers' ride-along chunk timings into the registry."""
-        registry = get_registry()
-        if not registry.enabled or not chunks:
-            return
-        layout = self.config.record_layout
-        histogram = registry.histogram(
-            "trips_engine_chunk_seconds", phase="one", layout=layout
-        )
-        for chunk in chunks:
-            if chunk.seconds is not None:
-                histogram.observe(chunk.seconds)
-        if layout == "columnar":
-            registry.counter("trips_columnar_chunks_total").inc(len(chunks))
-
-    def _map_phase_one_cached(
-        self,
-        backend: ExecutionBackend,
-        chunks: Iterator[list[PositioningSequence]],
-        emit_partial: bool,
-    ) -> tuple[list[list[PositioningSequence]], list, list[PartialKnowledge]]:
-        """Phase one with the engine-owned clean+annotate LRU consulted.
-
-        Cache misses are re-grouped into pure-miss payloads (so worker
-        shards cover exactly the sequences they annotated); the cached
-        sequences contribute one caller-built shard instead.  Shard
-        merging is exact and order-independent, so the regrouping cannot
-        change the knowledge.
-        """
-        cache = self._phase_one_cache
-        assert cache is not None
-        limit = self.config.phase_one_cache
-        consumed: list[list[PositioningSequence]] = []
-        slots: list[list] = []
-        hit_pairs: list = []
-        miss_positions: list[tuple[int, list[int]]] = []
-        miss_keys: list[list[tuple]] = []
-
-        def payloads() -> Iterator[tuple[str, list[PositioningSequence]]]:
-            # Generated lazily, like the uncached path: the cache is
-            # consulted chunk by chunk as the input iterator is pulled,
-            # so streaming ingestion still overlaps phase one.
-            for chunk in chunks:
-                chunk_index = len(consumed)
-                consumed.append(chunk)
-                row: list = []
-                misses: list[int] = []
-                keys: list[tuple] = []
-                for position, sequence in enumerate(chunk):
-                    cache_key = _phase_one_cache_key(sequence)
-                    hit = cache.get(cache_key)
-                    if hit is not None:
-                        cache.move_to_end(cache_key)
-                        hit_pairs.append(hit)
-                    else:
-                        misses.append(position)
-                        keys.append(cache_key)
-                    row.append(hit)
-                slots.append(row)
-                if misses:
-                    miss_positions.append((chunk_index, misses))
-                    miss_keys.append(keys)
-                    yield (self.context_key, [chunk[p] for p in misses])
-
-        fn = _bind(
-            _phase_one_task,
-            emit_partial=emit_partial,
-            record_layout=self.config.record_layout,
-        )
-        mapped = list(backend.map(fn, payloads()))
-        self._observe_phase_one_chunks(mapped)
-
-        partials: list[PartialKnowledge] = []
-        for (chunk_index, misses), keys, chunk_result in zip(
-            miss_positions, miss_keys, mapped
-        ):
-            for position, cache_key, pair in zip(
-                misses, keys, chunk_result.pairs
-            ):
-                slots[chunk_index][position] = pair
-                cache[cache_key] = pair
-                cache.move_to_end(cache_key)
-                while len(cache) > limit:
-                    cache.popitem(last=False)
-            if chunk_result.partial is not None:
-                partials.append(chunk_result.partial)
-
-        if emit_partial and hit_pairs:
-            hit_shard = build_partial_knowledge(
-                self.translator,
-                [annotation.sequence for _, annotation in hit_pairs],
-            )
-            if hit_shard is not None:
-                partials.append(hit_shard)
-
-        pairs = [pair for row in slots for pair in row]
-        return consumed, pairs, partials
-
     # ------------------------------------------------------------------
     def _run(
         self,
         chunks: Iterator[list[PositioningSequence]],
-        fold_into: MobilityKnowledge | None = None,
         incremental: bool = False,
         store: KnowledgeStore | None = None,
     ) -> BatchTranslationResult:
         registry = get_registry()
         mode = "incremental" if incremental else "batch"
-        layout = self.config.record_layout
-        with registry.trace("engine_run", mode=mode, layout=layout):
-            result = self._run_phases(chunks, fold_into, incremental, store)
+        with registry.trace("engine_run", mode=mode):
+            result = self._run_phases(chunks, incremental, store)
         if registry.enabled:
             for phase in result.stats.phases:
                 registry.histogram(
-                    "trips_engine_phase_seconds",
-                    phase=phase.name,
-                    layout=layout,
+                    "trips_engine_phase_seconds", phase=phase.name
                 ).observe(phase.seconds)
-            registry.counter(
-                "trips_engine_runs_total", mode=mode, layout=layout
-            ).inc()
+            registry.counter("trips_engine_runs_total", mode=mode).inc()
             registry.counter("trips_engine_sequences_total").inc(
                 len(result.results)
             )
@@ -708,12 +501,10 @@ class Engine:
     def _run_phases(
         self,
         chunks: Iterator[list[PositioningSequence]],
-        fold_into: MobilityKnowledge | None = None,
-        incremental: bool = False,
-        store: KnowledgeStore | None = None,
+        incremental: bool,
+        store: KnowledgeStore | None,
     ) -> BatchTranslationResult:
         started = time.perf_counter()
-        sharded = self.config.knowledge_build == "sharded"
         backend, owns = self._backend()
         # Captured up front: stats must not depend on reading the backend
         # after close() has torn the pool down.
@@ -722,7 +513,7 @@ class Engine:
             backend.open({self.context_key: self.translator})
         try:
             consumed, phase_one, partials = self._map_phase_one(
-                backend, chunks, emit_partial=sharded
+                backend, chunks, emit_partial=True
             )
             phase_one_done = time.perf_counter()
 
@@ -731,22 +522,16 @@ class Engine:
                 annotation.sequence for _, annotation in phase_one
             ]
 
-            # Barrier: sharded mode merges the per-chunk shards the
-            # workers already aggregated — O(#regions + #edges) per chunk;
-            # rebuild mode re-observes every annotated sequence on the
-            # caller.  Both produce byte-identical knowledge.  Incremental
-            # mode folds the window's shard into the long-running
-            # knowledge instead of building from scratch.
+            # Barrier: merge the per-chunk shards the workers already
+            # aggregated — O(#regions + #edges) per chunk — into fresh
+            # batch knowledge, or (incremental mode) fold them into the
+            # store's long-running knowledge.
             if incremental:
-                knowledge = self._fold_window(
-                    fold_into, annotated, partials, sequences, store
-                )
-            elif sharded:
+                knowledge = self._fold_window(store, partials, sequences)
+            else:
                 knowledge = build_batch_knowledge(
                     self.translator, partials=partials
                 )
-            else:
-                knowledge = build_batch_knowledge(self.translator, annotated)
             knowledge_done = time.perf_counter()
 
             # Phase two: fan out complementing with the shared knowledge.
@@ -781,40 +566,25 @@ class Engine:
 
     def _fold_window(
         self,
-        fold_into: MobilityKnowledge | None,
-        annotated: list[MobilitySemanticsSequence],
+        store: KnowledgeStore | None,
         partials: list[PartialKnowledge],
         sequences: list[PositioningSequence],
-        store: KnowledgeStore | None = None,
     ) -> MobilityKnowledge | None:
         """The incremental barrier: fold the window into its store.
 
-        Knowledge ownership is delegated to a
-        :class:`~repro.knowledge.KnowledgeStore`: the caller's store when
-        given, otherwise a transient unbounded wrap of the bare
-        ``fold_into`` knowledge (created on first window), so the legacy
-        path mutates the same object with identical, fold-forever
-        semantics.  Under the ``rebuild`` strategy the workers did not
-        aggregate shards, so the window's shard is built on the caller;
-        either way the fold applies exactly the same counting rules as a
-        batch build, so replaying all windows under unbounded retention
+        The fold applies exactly the same counting rules as a batch
+        build, so replaying all windows under unbounded retention
         reproduces the one-shot batch knowledge bit for bit.  The
         window's data-time span travels into the store's open epoch for
         TTL retention to measure against.
         """
         regions = self.translator.knowledge_regions()
-        if regions is None:
-            return fold_into
+        if store is None or regions is None:
+            return None
         if not partials:
-            partials = [PartialKnowledge.from_sequences(annotated, regions)]
-        if store is None:
-            knowledge = fold_into
-            if knowledge is None:
-                knowledge = MobilityKnowledge(
-                    regions=regions,
-                    smoothing=self.translator.config.knowledge_smoothing,
-                )
-            store = KnowledgeStore.wrap(knowledge)
+            # An empty window still folds one (empty) shard: the fold
+            # marks the knowledge mutated and opens the store's epoch.
+            partials = [PartialKnowledge.from_sequences([], regions)]
         start, end = _window_span(sequences)
         for partial in partials:
             store.fold(partial, start=start, end=end)

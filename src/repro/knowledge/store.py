@@ -59,10 +59,9 @@ class KnowledgeStore:
 
     Construct from a region vocabulary (plus smoothing and a retention
     policy or spec string), or adopt an existing knowledge object with
-    :meth:`wrap` — the legacy engine path does the latter so folding
-    through a store mutates the very same
-    :class:`~repro.core.complementing.MobilityKnowledge` callers already
-    hold.  ``fold`` accumulates into the open epoch; ``roll`` closes it
+    ``knowledge=`` — folding through the store then mutates the very same
+    :class:`~repro.core.complementing.MobilityKnowledge` the caller
+    holds.  ``fold`` accumulates into the open epoch; ``roll`` closes it
     and lets the retention policy retire or discount old evidence.
     """
 
@@ -107,21 +106,6 @@ class KnowledgeStore:
         # combined window:N+Ts policy), and the TTL "present" must never
         # move backwards because evidence aged out.
         self._newest_folded: float | None = None
-
-    @classmethod
-    def wrap(
-        cls,
-        knowledge: MobilityKnowledge,
-        retention: "str | RetentionPolicy | None" = None,
-    ) -> "KnowledgeStore":
-        """Adopt an existing knowledge object (default: unbounded).
-
-        Folding through the wrapping store mutates ``knowledge`` in
-        place, which is what keeps the legacy
-        ``Engine.translate_increment(sequences, knowledge)`` signature
-        exact: the caller's object *is* the store's live knowledge.
-        """
-        return cls(knowledge=knowledge, retention=retention)
 
     # ------------------------------------------------------------------
     # Folding and rolling

@@ -454,14 +454,12 @@ class LiveTranslationService:
             with registry.trace("live_window", venue=vid):
                 if not state.store_checked:
                     self._create_store(state)
+                batch = state.engine.translate_increment(
+                    sequences, store=state.store
+                )
                 retired: list = []
                 if state.store is not None:
-                    batch, _ = state.engine.translate_increment(
-                        sequences, store=state.store
-                    )
                     retired = state.store.roll()  # one epoch per window
-                else:
-                    batch, _ = state.engine.translate_increment(sequences)
             venue_elapsed = time.perf_counter() - venue_started
             if self.live_config.retain_results:
                 state.results.extend(batch.results)

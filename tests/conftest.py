@@ -125,6 +125,23 @@ def population(mall3):
     return simulator.simulate_population(count=5, seed=9)
 
 
+@pytest.fixture
+def columnar_chunks(monkeypatch):
+    """In-process runs of the columnar chunk runner (each one fetches its
+    venue's locator); worker processes count in their own copy."""
+    from repro.columnar import pipeline
+
+    runs = []
+    locator_for = pipeline._locator_for
+
+    def counting(model):
+        runs.append(model)
+        return locator_for(model)
+
+    monkeypatch.setattr(pipeline, "_locator_for", counting)
+    return runs
+
+
 def walk_sequence(
     device_id: str = "dev",
     points: list[tuple[float, float, int]] | None = None,

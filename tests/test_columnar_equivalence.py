@@ -1,10 +1,10 @@
 """The columnar layout's headline invariant: bit-for-bit equivalence.
 
-Phase one can run over per-record objects or over columnar record
-batches (``EngineConfig.record_layout``); the contract is that the two
-layouts are *indistinguishable by output* — every cleaning result, every
-annotation, every knowledge shard identical, float bits included.  This
-suite proves it differentially:
+The engine runs phase one over columnar record batches; the object model
+(``Translator.translate_batch`` / ``run_phase_one_chunk``) is the
+reference.  The contract is that the two are *indistinguishable by
+output* — every cleaning result, every annotation, every knowledge shard
+identical, float bits included.  This suite proves it differentially:
 
 - property tests pin the ``RecordBatch`` boundary conversion (exact
   round-trips, empty windows, single-record devices, quality columns);
@@ -13,10 +13,12 @@ suite proves it differentially:
 - a hypothesis feed differential drives random (dirty, floor-hopping,
   boundary-hugging) feeds through both phase-one implementations;
 - an engine matrix replays deterministic feeds over all three buildings,
-  every execution backend and both knowledge-build modes;
-- an incremental matrix proves layout equivalence under every knowledge
-  retention policy family via ``translate_increment``;
-- one differential per seam closed when columnar became the default:
+  every execution backend and several chunk sizes against both
+  compositions of the reference (serial rebuild, per-chunk shard merge);
+- an incremental matrix proves the same under every knowledge retention
+  policy family: ``translate_increment`` against a reference composed
+  from the object-model phase functions;
+- one differential per seam closed when columnar became the pipeline:
   the rectangle identity, the mask-resolved prime, the session's
   ``nearest_partition``, the hoisted route search, and the session-backed
   floor corrector / interpolator on dirty feeds.
@@ -31,18 +33,20 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from repro.buildings import MallConfig, build_mall
-from repro.columnar import (
-    NUMPY_AVAILABLE,
-    RecordBatch,
-    run_phase_one_chunk_columnar,
-    selftest,
-)
+from repro.columnar import RecordBatch, run_phase_one_chunk_columnar
 from repro.columnar import locate as columnar_locate
 from repro.columnar import pipeline as columnar_pipeline
 from repro.columnar.kernels import ColumnarCleaner, ColumnarSpeedValidator
 from repro.core import Translator
 from repro.core.cleaning import CleaningConfig, RawDataCleaner
-from repro.core.translator import run_phase_one_chunk
+from repro.core.complementing import PartialKnowledge
+from repro.core.translator import (
+    assemble_results,
+    build_batch_knowledge,
+    build_partial_knowledge,
+    run_phase_one_chunk,
+    run_phase_two_chunk,
+)
 from repro.dsm import (
     DigitalSpaceModel,
     EntityKind,
@@ -50,8 +54,8 @@ from repro.dsm import (
     SemanticRegion,
     SemanticTag,
 )
-from repro.engine import BACKENDS, RECORD_LAYOUTS, Engine, EngineConfig
-from repro.errors import ConfigError
+from repro.durability import encode
+from repro.engine import BACKENDS, Engine, EngineConfig, partition
 from repro.geometry import Circle, Point, Polygon
 from repro.positioning import PositioningSequence, RawPositioningRecord
 from repro.simulation import MobilitySimulator
@@ -215,7 +219,6 @@ class TestRecordBatchRoundTrip:
                 qualities=[1.0, 2.0],
             )
 
-    @pytest.mark.skipif(not NUMPY_AVAILABLE, reason="needs numpy")
     def test_column_views_are_zero_copy(self):
         import numpy as np
 
@@ -292,21 +295,25 @@ class TestLocationKernels:
     def test_scalar_prime_path_matches_numpy_prime(
         self, shop_locator, monkeypatch
     ):
-        """TRIPS_COLUMNAR_NUMPY=0 (scalar prime) locates identically."""
+        """The point-by-point prime small batches take locates identically
+        to the vectorized sweep (the row floor is the only selector)."""
         records = [
             RawPositioningRecord(float(i), "probe", Point(x, y, 1))
             for i, x in enumerate(_COORD_SPECIALS)
             for y in (0.0, 5.0, 10.0, 15.0)
         ]
         batch = RecordBatch.from_records(records)
+        assert len(batch) >= columnar_locate._VECTOR_PRIME_MIN_ROWS
         vectorized = shop_locator.session()
         primes = columnar_locate.NUMPY_PRIME_COUNT
         vectorized.prime(batch)
-        if columnar_locate._NUMPY_ENABLED:
-            assert columnar_locate.NUMPY_PRIME_COUNT == primes + 1
-        monkeypatch.setattr(columnar_locate, "_NUMPY_ENABLED", False)
+        assert columnar_locate.NUMPY_PRIME_COUNT == primes + 1
+        monkeypatch.setattr(
+            columnar_locate, "_VECTOR_PRIME_MIN_ROWS", len(batch) + 1
+        )
         scalar = shop_locator.session()
         scalar.prime(batch)
+        assert columnar_locate.NUMPY_PRIME_COUNT == primes + 1
         assert scalar._partitions == vectorized._partitions
         assert scalar._regions == vectorized._regions
 
@@ -360,14 +367,6 @@ class TestPhaseOneDifferential:
         )
         assert_chunks_equal(objects, columnar)
 
-    def test_selftest_passes_and_reports(self):
-        before = columnar_pipeline.CHUNKS_RUN
-        summary = selftest()
-        assert summary["pairs_equal"] and summary["partial_equal"]
-        assert summary["chunks_run"] > before
-        if columnar_locate._NUMPY_ENABLED:
-            assert summary["numpy_prime_ran"]
-
     def test_subclass_step_wraps_the_columnar_layers(self, two_shop):
         """``clean_and_annotate`` stays the per-sequence step: a subclass
         that wraps it (the ledger's traced translator does, to time the
@@ -408,7 +407,7 @@ class TestPhaseOneDifferential:
 
 
 # ----------------------------------------------------------------------
-# Engine matrix: buildings x backends x knowledge builds
+# Engine matrix: buildings x backends x chunk sizes, against the reference
 # ----------------------------------------------------------------------
 def shop_feed():
     sequences = [
@@ -424,9 +423,35 @@ def shop_feed():
     return sequences
 
 
+#: One chunk per sequence, an uneven tail, and the engine's default (a
+#: single chunk for these feeds).
+CHUNK_SIZES = (1, 2, 8)
+
+
+def reference_sharded_batch(translator, translated, chunk_size):
+    """``Translator.translate_batch``'s own phase-one output recomposed in
+    the engine's shape: one knowledge shard per chunk, merged at the
+    barrier, complemented against the merged knowledge."""
+    pairs = [(r.cleaning, r.annotation) for r in translated.results]
+    knowledge = build_batch_knowledge(
+        translator,
+        partials=[
+            build_partial_knowledge(
+                translator, [annotation.sequence for _, annotation in chunk]
+            )
+            for chunk in partition(pairs, chunk_size)
+        ],
+    )
+    complements = run_phase_two_chunk(
+        translator, (knowledge, [annotation.sequence for _, annotation in pairs])
+    )
+    sequences = [r.raw for r in translated.results]
+    return assemble_results(sequences, pairs, complements), knowledge
+
+
 @pytest.fixture(scope="module")
 def building_feeds():
-    """(translator, sequences, objects-reference) per building."""
+    """(translator, sequences, ``Translator.translate_batch``) per building."""
     mall2 = build_mall(MallConfig(floors=2))
     mall3 = build_mall(MallConfig(floors=3))
     cases = {}
@@ -454,66 +479,91 @@ def building_feeds():
         ),
     ):
         translator = Translator(model)
-        reference = Engine(
-            translator, EngineConfig(chunk_size=2, record_layout="objects")
-        ).translate_batch(sequences)
-        cases[name] = (translator, sequences, reference)
+        cases[name] = (
+            translator,
+            sequences,
+            translator.translate_batch(sequences),
+        )
     return cases
 
 
 @pytest.mark.parametrize("building", ["two_shop", "mall", "mall3"])
 @pytest.mark.parametrize("backend", ALL_BACKENDS)
-@pytest.mark.parametrize("knowledge_build", ["rebuild", "sharded"])
+@pytest.mark.parametrize("reference", ["rebuild", "sharded"])
 def test_engine_columnar_matches_objects(
-    building_feeds, building, backend, knowledge_build
+    building_feeds, columnar_chunks, building, backend, reference
 ):
-    """The acceptance matrix: columnar == objects, results and knowledge,
-    for every building x backend x knowledge-build cell."""
-    translator, sequences, reference = building_feeds[building]
-    chunks_before = columnar_pipeline.CHUNKS_RUN
-    engine = Engine(
-        translator,
-        EngineConfig(
-            backend=backend,
-            workers=2,
-            chunk_size=2,
-            knowledge_build=knowledge_build,
-            record_layout="columnar",
-        ),
-    )
-    batch = engine.translate_batch(sequences)
-    assert batch.results == reference.results
-    assert batch.knowledge == reference.knowledge
-    if backend != "processes":
-        # In-process backends must have exercised the columnar pipeline
-        # (worker processes advance their own counters).
-        assert columnar_pipeline.CHUNKS_RUN > chunks_before
+    """The acceptance matrix: ``Engine.translate_batch`` equals the
+    object-model reference — results and knowledge bits — for every
+    building x backend x chunk size.  ``rebuild`` compares against
+    ``Translator.translate_batch`` (one pass, knowledge re-observed
+    serially at the barrier); ``sharded`` against that same object-model
+    output recomposed chunk by chunk with a shard merge."""
+    translator, sequences, translated = building_feeds[building]
+    for chunk_size in CHUNK_SIZES:
+        if reference == "rebuild":
+            results, knowledge = translated.results, translated.knowledge
+        else:
+            results, knowledge = reference_sharded_batch(
+                translator, translated, chunk_size
+            )
+        del columnar_chunks[:]
+        batch = Engine(
+            translator,
+            EngineConfig(backend=backend, workers=2, chunk_size=chunk_size),
+        ).translate_batch(sequences)
+        assert batch.results == results
+        assert batch.knowledge == knowledge
+        assert encode(batch.knowledge) == encode(knowledge)
+        if backend != "processes":
+            assert len(columnar_chunks) == batch.stats.chunk_count
 
 
 # ----------------------------------------------------------------------
 # Incremental path: every retention policy family
 # ----------------------------------------------------------------------
+def reference_increment(translator, window, store, chunk_size):
+    """One window through the object-model phase functions and ``store``:
+    what ``Engine.translate_increment`` must reproduce."""
+    regions = translator.knowledge_regions()
+    start = min(s.records[0].timestamp for s in window)
+    end = max(s.records[-1].timestamp for s in window)
+    pairs = []
+    for chunk in partition(window, chunk_size):
+        phase_one = run_phase_one_chunk(translator, chunk)
+        pairs.extend(phase_one.pairs)
+        store.fold(
+            PartialKnowledge.from_sequences(phase_one.annotated, regions),
+            start=start,
+            end=end,
+        )
+    complements = run_phase_two_chunk(
+        translator,
+        (store.knowledge, [annotation.sequence for _, annotation in pairs]),
+    )
+    return assemble_results(window, pairs, complements)
+
+
 @pytest.mark.parametrize("retention", RETENTIONS)
 def test_incremental_retention_matches_across_layouts(retention):
     """Windowed ``translate_increment`` through a retention-managed store
-    evolves identically in both layouts — per-window results, knowledge
-    bits and epoch lifecycle."""
+    evolves exactly as the object-model reference does — per-window
+    results, knowledge bits and epoch lifecycle."""
     translator = Translator(make_two_shop_dsm())
     sequences = shop_feed()
     windows = [sequences[:2], sequences[2:4], sequences[4:]]
+    engine = Engine(translator, EngineConfig(chunk_size=2))
 
-    def run(layout):
-        engine = Engine(
-            translator, EngineConfig(chunk_size=2, record_layout=layout)
-        )
+    def run(translate):
         store = engine.make_store(retention)
         states = []
         for window in windows:
-            result, _ = engine.translate_increment(window, store=store)
+            results = translate(window, store)
             store.roll()
             states.append(
                 (
-                    result.results,
+                    results,
+                    encode(store.knowledge),
                     store.to_partial(),
                     store.retained_epochs,
                     store.epochs_retired,
@@ -521,28 +571,32 @@ def test_incremental_retention_matches_across_layouts(retention):
             )
         return states
 
-    for obj_state, col_state in zip(run("objects"), run("columnar")):
+    objects = run(
+        lambda window, store: reference_increment(translator, window, store, 2)
+    )
+    columnar = run(
+        lambda window, store: engine.translate_increment(
+            window, store=store
+        ).results
+    )
+    for obj_state, col_state in zip(objects, columnar):
         assert obj_state == col_state
 
 
-def test_increment_without_store_matches(two_shop):
+def test_increment_without_store_matches(two_shop, columnar_chunks):
+    """``store=None`` is a venue that keeps no knowledge: nothing folds,
+    phase two is skipped, and the window's results are the reference's
+    phase one alone."""
     translator = Translator(two_shop)
-    windows = [shop_feed()[:3], shop_feed()[3:]]
-    knowledge = {}
-    results = {}
-    for layout in RECORD_LAYOUTS:
-        engine = Engine(
-            translator, EngineConfig(chunk_size=2, record_layout=layout)
-        )
-        folded = None
-        emitted = []
-        for window in windows:
-            result, folded = engine.translate_increment(window, folded)
-            emitted.append(result.results)
-        knowledge[layout] = folded
-        results[layout] = emitted
-    assert results["objects"] == results["columnar"]
-    assert knowledge["objects"] == knowledge["columnar"]
+    window = shop_feed()
+    result = Engine(translator, EngineConfig(chunk_size=2)).translate_increment(
+        window, store=None
+    )
+    assert result.knowledge is None
+    assert result.results == assemble_results(
+        window, run_phase_one_chunk(translator, window).pairs, None
+    )
+    assert len(columnar_chunks) == 3
 
 
 # ----------------------------------------------------------------------
@@ -769,9 +823,7 @@ class TestMaskResolvedPrime:
         small.prime(RecordBatch.from_records(records[:-1]))
         assert columnar_locate.NUMPY_PRIME_COUNT == before
         large.prime(RecordBatch.from_records(records))
-        assert columnar_locate.NUMPY_PRIME_COUNT == before + (
-            1 if columnar_locate._NUMPY_ENABLED else 0
-        )
+        assert columnar_locate.NUMPY_PRIME_COUNT == before + 1
         assert small._partitions.items() <= large._partitions.items()
         assert small._regions.items() <= large._regions.items()
 
@@ -994,10 +1046,10 @@ def test_locator_cache_is_thread_safe(monkeypatch):
     monkeypatch.setattr(columnar_pipeline, "PointLocator", WatchedLocator)
     monkeypatch.setattr(columnar_pipeline, "_locators", type(columnar_pipeline._locators)())
     venues = [
-        Translator(columnar_pipeline._micro_venue())
+        Translator(make_two_shop_dsm())
         for _ in range(columnar_pipeline._MAX_LOCATORS + 2)
     ]
-    feed = columnar_pipeline._micro_feed()
+    feed = shop_feed()
     expected = run_phase_one_chunk(venues[0], feed, emit_partial=True)
 
     interval = sys.getswitchinterval()
@@ -1026,66 +1078,52 @@ def test_locator_cache_is_thread_safe(monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# Configuration plumbing
+# One pipeline: no selector, and the reference stays the reference
 # ----------------------------------------------------------------------
 class TestRecordLayoutConfig:
     def test_known_layouts(self, monkeypatch):
-        # The CI oracle leg exports TRIPS_RECORD_LAYOUT=objects for the
-        # whole suite; clear it so this test pins the built-in default.
-        monkeypatch.delenv("TRIPS_RECORD_LAYOUT", raising=False)
-        assert RECORD_LAYOUTS == ("objects", "columnar")
+        """Columnar is a constant the ledger's re-drive reads, not a
+        field, and no environment variable moves it."""
+        import dataclasses
+
+        monkeypatch.setenv("TRIPS_RECORD_LAYOUT", "objects")
         assert EngineConfig().record_layout == "columnar"
-        assert EngineConfig(record_layout="objects").record_layout == (
-            "objects"
-        )
+        assert "record_layout" not in {
+            f.name for f in dataclasses.fields(EngineConfig)
+        }
 
     def test_unknown_layout_rejected(self):
-        with pytest.raises(ConfigError, match="record layout"):
-            EngineConfig(record_layout="rowwise")
-
-    def test_env_var_sets_default(self, monkeypatch):
-        monkeypatch.setenv("TRIPS_RECORD_LAYOUT", "columnar")
-        assert EngineConfig().record_layout == "columnar"
-        # An explicit value still wins over the environment.
-        assert EngineConfig(record_layout="objects").record_layout == (
-            "objects"
-        )
-        monkeypatch.setenv("TRIPS_RECORD_LAYOUT", "bogus")
-        with pytest.raises(ConfigError):
-            EngineConfig()
+        for layout in ("rowwise", "objects", "columnar"):
+            with pytest.raises(TypeError):
+                EngineConfig(record_layout=layout)
 
     @pytest.mark.parametrize("backend", ALL_BACKENDS)
     def test_bare_config_runs_the_columnar_pipeline(
-        self, two_shop, monkeypatch, backend
+        self, two_shop, columnar_chunks, backend
     ):
         """A default ``EngineConfig`` is the columnar pipeline: in-process
-        backends advance its chunk counter, and on every backend — worker
-        processes included — the run's telemetry counts columnar chunks."""
+        backends run its chunk runner once per chunk, and on every backend
+        — worker processes included — the run's telemetry times those
+        chunks."""
         from repro.telemetry import MetricsRegistry, use_registry
 
-        monkeypatch.delenv("TRIPS_RECORD_LAYOUT", raising=False)
         sequences = [walk_sequence("w"), stationary_sequence("d", count=6)]
-        before = columnar_pipeline.CHUNKS_RUN
         registry = MetricsRegistry()
         with use_registry(registry):
             Engine(
                 Translator(two_shop),
                 EngineConfig(backend=backend, workers=2, chunk_size=1),
             ).translate_batch(sequences)
-        assert registry.counter("trips_columnar_chunks_total").value == 2
+        chunk_seconds = registry.histogram(
+            "trips_engine_chunk_seconds", phase="one"
+        )
+        assert chunk_seconds.count == 2
         if backend != "processes":
-            assert columnar_pipeline.CHUNKS_RUN > before
+            assert len(columnar_chunks) == 2
 
-    def test_translator_batch_stays_the_object_oracle(self, two_shop):
+    def test_translator_batch_stays_the_object_oracle(
+        self, two_shop, columnar_chunks
+    ):
         """The reference must not silently become the thing it checks."""
-        before = columnar_pipeline.CHUNKS_RUN
         Translator(two_shop).translate_batch([walk_sequence("w")])
-        assert columnar_pipeline.CHUNKS_RUN == before
-
-    def test_objects_layout_does_not_run_columnar_chunks(self, two_shop):
-        translator = Translator(two_shop)
-        before = columnar_pipeline.CHUNKS_RUN
-        Engine(
-            translator, EngineConfig(record_layout="objects")
-        ).translate_batch([walk_sequence("w")])
-        assert columnar_pipeline.CHUNKS_RUN == before
+        assert columnar_chunks == []

@@ -802,7 +802,7 @@ def test_incremental_retention_matches_across_paths(retention):
         store = engine.make_store(retention)
         states = []
         for window in windows:
-            result, _ = engine.translate_increment(window, store=store)
+            result = engine.translate_increment(window, store=store)
             store.roll()
             states.append(
                 (
@@ -954,13 +954,13 @@ def test_gap_gate_matches_ungated_phase_two(backend, chunk_size):
     incremental = []
     expected = []
     for window in (sequences[:4], sequences[4:5], sequences[5:]):
-        result, knowledge = engine.translate_increment(window, store=store)
+        result = engine.translate_increment(window, store=store)
         store.roll()
         incremental.extend(result.results)
         expected.extend(
             ungated_complements(
                 translator,
-                knowledge,
+                store.knowledge,
                 [r.annotation.sequence for r in result.results],
             )
         )
@@ -1014,13 +1014,13 @@ def test_gapless_window_never_reaches_the_pool():
         spy.open({DEFAULT_CONTEXT_KEY: translator})
         engine = Engine(translator, EngineConfig(chunk_size=2), backend=spy)
         store = engine.make_store()
-        result, knowledge = engine.translate_increment(gapless, store=store)
+        result = engine.translate_increment(gapless, store=store)
         assert (spy.shares, spy.phase_two_maps) == (0, 0)
         assert [r.complement.sequence for r in result.results] == [
             r.annotation.sequence for r in result.results
         ]
         assert engine.complement(
-            [r.annotation.sequence for r in result.results], knowledge
+            [r.annotation.sequence for r in result.results], store.knowledge
         ) == [r.complement for r in result.results]
         assert (spy.shares, spy.phase_two_maps) == (0, 0)
         # The same engine still maps a window that does hold a gap.

@@ -270,49 +270,24 @@ class TestCli:
         ) == 1
         assert "duplicate venue" in capsys.readouterr().err
 
-    def test_translate_knowledge_build_flag(
-        self, task_workspace, tmp_path, capsys
-    ):
-        """--knowledge-build picks the engine barrier strategy; both
-        strategies write identical per-device result files."""
-        _, _, config_path = task_workspace
-        exports = {}
-        for strategy in ("rebuild", "sharded"):
-            out = tmp_path / strategy
-            assert cli_main(
-                ["translate", str(config_path), "--backend", "serial",
-                 "--knowledge-build", strategy, "--out", str(out)]
-            ) == 0
-            exports[strategy] = {
-                path.name: path.read_bytes() for path in out.glob("*.json")
-            }
-        assert exports["sharded"] == exports["rebuild"]
-        assert len(exports["sharded"]) > 0
-
     def test_plain_translate_runs_the_default_pipeline(
-        self, task_workspace, tmp_path, capsys, monkeypatch
+        self, task_workspace, tmp_path, capsys, columnar_chunks
     ):
         """`trips translate` with no --backend goes through the engine's
         defaults — the columnar pipeline — and writes byte-identical
-        files to the object-model reference (`--record-layout objects`)."""
-        from repro.columnar import pipeline as columnar_pipeline
-
-        # CI's oracle leg flips the default through the environment.
-        monkeypatch.delenv("TRIPS_RECORD_LAYOUT", raising=False)
+        files to the object-model reference, `run_task(config)`."""
         _, _, config_path = task_workspace
         plain, reference = tmp_path / "plain", tmp_path / "reference"
-        before = columnar_pipeline.CHUNKS_RUN
         assert cli_main(
             ["translate", str(config_path), "--out", str(plain)]
         ) == 0
-        assert columnar_pipeline.CHUNKS_RUN > before
+        assert columnar_chunks
         assert "backend=serial" in capsys.readouterr().out
-        before = columnar_pipeline.CHUNKS_RUN
-        assert cli_main(
-            ["translate", str(config_path), "--backend", "serial",
-             "--record-layout", "objects", "--out", str(reference)]
-        ) == 0
-        assert columnar_pipeline.CHUNKS_RUN == before
+        del columnar_chunks[:]
+        reference.mkdir()
+        for result in run_task(load_task(config_path)):
+            result.export(reference / f"{result.device_id}.json")
+        assert not columnar_chunks
 
         def exported(directory):
             return {
@@ -323,12 +298,13 @@ class TestCli:
         assert exported(plain) == exported(reference)
         assert len(exported(plain)) > 0
 
-    def test_knowledge_build_requires_backend(self, task_workspace, capsys):
+    def test_tuning_flags_require_backend(self, task_workspace, capsys):
         _, _, config_path = task_workspace
-        assert cli_main(
-            ["translate", str(config_path), "--knowledge-build", "sharded"]
-        ) == 1
-        assert "--backend" in capsys.readouterr().err
+        for flag, value in (("--chunk-size", "4"), ("--workers", "2")):
+            assert cli_main(
+                ["translate", str(config_path), flag, value]
+            ) == 1
+            assert "--backend" in capsys.readouterr().err
 
     def test_error_exit_code(self, tmp_path, capsys):
         assert cli_main(["validate-dsm", str(tmp_path / "absent.json")]) == 1

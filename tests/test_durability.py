@@ -380,6 +380,27 @@ class TestJournal:
             journal.load()
         journal.close()
 
+    @pytest.mark.parametrize(
+        "fields",
+        [{}, {"windows": "3"}, {"windows": None}, {"windows": -1},
+         {"windows": True}],
+        ids=["missing", "string", "null", "negative", "bool"],
+    )
+    def test_malformed_snapshot_window_count_raises(self, tmp_path, fields):
+        """Valid magic and version but an unusable ``windows``: a named
+        error, not the ``KeyError`` / ``TypeError`` of using it."""
+        state = tmp_path / "state"
+        journal = DurableStateJournal(state)
+        journal.open()
+        (state / "snapshot.json").write_bytes(
+            json.dumps(
+                {"magic": SNAPSHOT_MAGIC, "version": FORMAT_VERSION, **fields}
+            ).encode()
+        )
+        with pytest.raises(PersistenceError, match="window count"):
+            journal.load()
+        journal.close()
+
     def test_load_requires_open(self, tmp_path):
         journal = DurableStateJournal(tmp_path / "state")
         with pytest.raises(PersistenceError):

@@ -11,14 +11,16 @@ complements and confidences field by field.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.core import Translator
 from repro.core.translator import BatchStats, BatchTranslationResult, PhaseStats
+from repro.engine import engine as engine_module
 from repro.engine import (
     BACKENDS,
     DEFAULT_CHUNK_SIZE,
-    KNOWLEDGE_BUILDS,
     Engine,
     EngineConfig,
     SerialBackend,
@@ -159,7 +161,7 @@ def test_engine_single_sequence(shop_translator, shop_sequences, shop_serial):
 
 
 # ----------------------------------------------------------------------
-# Knowledge build strategies: sharded merge vs serial rebuild
+# The barrier: the engine's shard merge vs the reference's serial rebuild
 # ----------------------------------------------------------------------
 def _export_bytes(batch: BatchTranslationResult, root) -> dict[str, bytes]:
     """The per-device result files a run would write, keyed by device."""
@@ -175,31 +177,20 @@ def _export_bytes(batch: BatchTranslationResult, root) -> dict[str, bytes]:
 @pytest.mark.parametrize("backend", ALL_BACKENDS)
 @pytest.mark.parametrize("chunk_size", [1, 5, 100])
 def test_sharded_matches_rebuild_all_backends(
-    shop_translator, shop_sequences, backend, chunk_size, tmp_path
+    shop_translator, shop_sequences, shop_serial, backend, chunk_size, tmp_path
 ):
-    """Chunk sizes cover the degenerate (1), prime (5) and single-chunk
-    (100 > batch) shardings; results must be byte-identical either way."""
-    rebuild = Engine(
-        shop_translator,
-        EngineConfig(
-            backend=backend,
-            workers=2,
-            chunk_size=chunk_size,
-            knowledge_build="rebuild",
-        ),
-    ).translate_batch(shop_sequences)
+    """The engine merges per-chunk shards; the reference
+    (``Translator.translate_batch``) re-observes every annotated sequence
+    serially.  Chunk sizes cover the degenerate (1), prime (5) and
+    single-chunk (100 > batch) shardings; results must be byte-identical
+    either way."""
     sharded = Engine(
         shop_translator,
-        EngineConfig(
-            backend=backend,
-            workers=2,
-            chunk_size=chunk_size,
-            knowledge_build="sharded",
-        ),
+        EngineConfig(backend=backend, workers=2, chunk_size=chunk_size),
     ).translate_batch(shop_sequences)
-    assert_batches_identical(sharded, rebuild)
+    assert_batches_identical(sharded, shop_serial)
     assert _export_bytes(sharded, tmp_path / "sharded") == _export_bytes(
-        rebuild, tmp_path / "rebuild"
+        shop_serial, tmp_path / "rebuild"
     )
 
 
@@ -217,23 +208,31 @@ def test_sharded_matches_serial_mall_population(mall3, population, backend):
     assert_batches_identical(batch, reference)
 
 
-def test_sharded_is_default_strategy(shop_translator, shop_sequences):
-    assert EngineConfig().knowledge_build == "sharded"
-    assert set(KNOWLEDGE_BUILDS) == {"rebuild", "sharded"}
+def test_sharded_is_default_strategy(
+    shop_translator, shop_sequences, monkeypatch
+):
+    """Every phase-one chunk of a batch run is asked for its shard."""
+    asked = []
+    runner = engine_module.run_phase_one_chunk_columnar
+
+    def watching(translator, chunk, emit_partial=False):
+        asked.append(emit_partial)
+        return runner(translator, chunk, emit_partial=emit_partial)
+
+    monkeypatch.setattr(
+        engine_module, "run_phase_one_chunk_columnar", watching
+    )
     batch = Engine(shop_translator, EngineConfig()).translate_batch(
         shop_sequences
     )
+    assert asked == [True] * batch.stats.chunk_count
     assert batch.knowledge is not None
     assert batch.knowledge.sequences_seen == len(shop_sequences)
 
 
 def test_sharded_empty_batch_matches_rebuild(shop_translator):
-    sharded = Engine(
-        shop_translator, EngineConfig(knowledge_build="sharded")
-    ).translate_batch([])
-    rebuild = Engine(
-        shop_translator, EngineConfig(knowledge_build="rebuild")
-    ).translate_batch([])
+    sharded = Engine(shop_translator, EngineConfig()).translate_batch([])
+    rebuild = shop_translator.translate_batch([])
     assert sharded.results == rebuild.results == []
     assert sharded.knowledge == rebuild.knowledge
 
@@ -259,10 +258,7 @@ def test_sharded_streaming_duplicate_devices(shop_translator):
         shop_translator,
         EngineConfig(backend="threads", workers=2, chunk_size=1),
     ).translate_stream(windowed())
-    rebuild = Engine(
-        shop_translator,
-        EngineConfig(chunk_size=1, knowledge_build="rebuild"),
-    ).translate_stream(windowed())
+    rebuild = shop_translator.translate_batch(list(windowed()))
     assert_batches_identical(sharded, rebuild)
     assert [r.device_id for r in sharded] == ["dup", "dup"]
     # First match wins, and it is the first *window*, not the last.
@@ -276,31 +272,35 @@ def test_sharded_streaming_duplicate_devices(shop_translator):
 # ----------------------------------------------------------------------
 # Incremental window translation (the live service's unit of work)
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("strategy", KNOWLEDGE_BUILDS)
+@pytest.mark.parametrize("reference", ["rebuild", "sharded"])
 def test_translate_increment_folds_to_batch_knowledge(
-    shop_translator, shop_sequences, shop_serial, strategy
+    shop_translator, shop_sequences, shop_serial, reference
 ):
-    """Folding every window's shard reproduces the one-shot batch
-    knowledge bit for bit, under either barrier strategy."""
-    engine = Engine(
-        shop_translator,
-        EngineConfig(chunk_size=2, knowledge_build=strategy),
+    """Folding every window's shards reproduces the one-shot batch
+    knowledge bit for bit — as the reference rebuilds it serially, and as
+    the engine's own batch barrier merges it."""
+    engine = Engine(shop_translator, EngineConfig(chunk_size=2))
+    one_shot = (
+        shop_serial
+        if reference == "rebuild"
+        else engine.translate_batch(shop_sequences)
     )
-    knowledge = None
+    store = engine.make_store()
     window_results = []
     for start in range(0, len(shop_sequences), 2):
         window = shop_sequences[start : start + 2]
-        batch, knowledge = engine.translate_increment(window, knowledge)
+        batch = engine.translate_increment(window, store=store)
+        assert batch.knowledge is store.knowledge
         window_results.extend(batch.results)
-    assert knowledge == shop_serial.knowledge
+    assert store.knowledge == one_shot.knowledge
     assert [r.device_id for r in window_results] == [
-        r.device_id for r in shop_serial.results
+        r.device_id for r in one_shot.results
     ]
     # Re-complementing against the final knowledge reproduces the batch.
     complements = engine.complement(
-        [r.annotation.sequence for r in window_results], knowledge
+        [r.annotation.sequence for r in window_results], store.knowledge
     )
-    assert complements == [r.complement for r in shop_serial.results]
+    assert complements == [r.complement for r in one_shot.results]
 
 
 def test_translate_increment_windowed_stream(shop_translator):
@@ -318,16 +318,15 @@ def test_translate_increment_windowed_stream(shop_translator):
         key=lambda r: (r.timestamp, r.device_id),
     )
     engine = Engine(shop_translator, EngineConfig(chunk_size=2))
-    knowledge = None
+    store = engine.make_store()
     count = 0
     for window in windowed_sequences(RecordStream(iter(records)), 100.0):
-        batch, knowledge = engine.translate_increment(window, knowledge)
-        count += len(batch)
+        count += len(engine.translate_increment(window, store=store))
     reference = engine.translate_stream(
         sequence_stream(RecordStream(iter(records)), 100.0)
     )
     assert count == len(reference)
-    assert knowledge == reference.knowledge
+    assert store.knowledge == reference.knowledge
 
 
 def test_translate_increment_complementing_disabled(shop_sequences):
@@ -338,10 +337,30 @@ def test_translate_increment_complementing_disabled(shop_sequences):
         config=TranslatorConfig(enable_complementing=False),
     )
     engine = Engine(translator, EngineConfig())
-    batch, knowledge = engine.translate_increment(shop_sequences[:2])
-    assert knowledge is None
+    store = engine.make_store()
+    assert store is None
+    batch = engine.translate_increment(shop_sequences[:2], store=store)
     assert batch.knowledge is None
     assert all(r.complement is None for r in batch)
+
+
+def test_translate_increment_empty_window_still_folds(shop_translator):
+    """An empty window folds one empty shard: the counts stay put, but the
+    knowledge is marked mutated (generation-keyed caches go stale) and a
+    delta-tracking store opens its epoch — the behaviour the live service
+    and its journal have always seen."""
+    engine = Engine(shop_translator, EngineConfig())
+    store = engine.make_store()
+    store.track_deltas = True
+    generation = store.knowledge.generation
+    before = store.to_partial()
+    batch = engine.translate_increment([], store=store)
+    assert batch.results == []
+    assert batch.knowledge is store.knowledge
+    assert store.knowledge.generation == generation + 1
+    assert store.to_partial() == before
+    assert store._current is not None
+    assert store._current.sequences_seen == 0
 
 
 # ----------------------------------------------------------------------
@@ -428,93 +447,6 @@ def test_share_pickled_resolves_and_caches():
     # Cached per generation: same object back on the second resolve.
     assert resolve_shared(token) is first
     backend.release(token)  # no-op, must not raise
-
-
-# ----------------------------------------------------------------------
-# Phase-one cache
-# ----------------------------------------------------------------------
-def _counting_translator(counter):
-    translator = Translator(make_two_shop_dsm())
-    original = translator.clean_and_annotate
-
-    def counted(sequence):
-        counter.append(sequence.device_id)
-        return original(sequence)
-
-    translator.clean_and_annotate = counted
-    return translator
-
-
-@pytest.mark.parametrize("strategy", KNOWLEDGE_BUILDS)
-def test_phase_one_cache_skips_repeat_work(
-    shop_sequences, shop_serial, strategy
-):
-    calls: list[str] = []
-    translator = _counting_translator(calls)
-    engine = Engine(
-        translator,
-        EngineConfig(
-            chunk_size=2,
-            knowledge_build=strategy,
-            phase_one_cache=32,
-            # Call counting instruments clean_and_annotate, which only the
-            # object layout invokes — pin it so the columnar CI leg
-            # (TRIPS_RECORD_LAYOUT=columnar) still counts misses.
-            record_layout="objects",
-        ),
-    )
-    first = engine.translate_batch(shop_sequences)
-    assert len(calls) == len(shop_sequences)
-    second = engine.translate_batch(shop_sequences)
-    assert len(calls) == len(shop_sequences)  # all hits: no new phase one
-    assert first.results == second.results == shop_serial.results
-    assert first.knowledge == second.knowledge == shop_serial.knowledge
-
-
-def test_phase_one_cache_partial_hits(shop_sequences, shop_serial):
-    calls: list[str] = []
-    translator = _counting_translator(calls)
-    engine = Engine(
-        translator,
-        EngineConfig(
-            chunk_size=3, phase_one_cache=32, record_layout="objects"
-        ),
-    )
-    engine.translate_batch(shop_sequences[:4])
-    assert len(calls) == 4
-    batch = engine.translate_batch(shop_sequences)
-    assert len(calls) == len(shop_sequences)  # only the 3 new sequences
-    assert batch.results == shop_serial.results
-    assert batch.knowledge == shop_serial.knowledge
-
-
-def test_phase_one_cache_evicts_lru(shop_sequences):
-    calls: list[str] = []
-    translator = _counting_translator(calls)
-    engine = Engine(
-        translator,
-        EngineConfig(
-            chunk_size=2, phase_one_cache=2, record_layout="objects"
-        ),
-    )
-    engine.translate_batch(shop_sequences)
-    before = len(calls)
-    engine.translate_batch(shop_sequences[-2:])  # the two still cached
-    assert len(calls) == before
-    engine.translate_batch(shop_sequences[:2])  # evicted: recomputed
-    assert len(calls) == before + 2
-
-
-def test_phase_one_cache_off_by_default(shop_sequences):
-    calls: list[str] = []
-    translator = _counting_translator(calls)
-    engine = Engine(
-        translator, EngineConfig(chunk_size=2, record_layout="objects")
-    )
-    engine.translate_batch(shop_sequences[:2])
-    engine.translate_batch(shop_sequences[:2])
-    assert len(calls) == 4
-    assert engine._phase_one_cache is None
 
 
 # ----------------------------------------------------------------------
@@ -633,9 +565,17 @@ def test_engine_config_validation():
         EngineConfig(workers=0)
     with pytest.raises(ConfigError):
         EngineConfig(chunk_size=0)
-    with pytest.raises(ConfigError):
-        EngineConfig(knowledge_build="bogus")
     assert EngineConfig().chunk_size == DEFAULT_CHUNK_SIZE
+
+
+def test_engine_config_surface():
+    """The ratchet: four options, and the removed ones stay removed."""
+    assert {f.name for f in dataclasses.fields(EngineConfig)} == {
+        "backend", "workers", "chunk_size", "retention",
+    }
+    for removed in ("record_layout", "knowledge_build", "phase_one_cache"):
+        with pytest.raises(TypeError):
+            EngineConfig(**{removed: None})
 
 
 def test_create_backend_registry():

@@ -28,6 +28,7 @@ from repro.core.semantics import (
     MobilitySemantic,
     MobilitySemanticsSequence,
 )
+from repro.core.translator import run_phase_one_chunk
 from repro.engine import Engine, EngineConfig
 from repro.errors import ConfigError, InferenceError
 from repro.knowledge import (
@@ -244,10 +245,22 @@ class TestKnowledgeStore:
         assert store.knowledge == knowledge_of(corpus, corpus, corpus)
 
     def test_wrap_mutates_the_callers_object(self):
+        """``knowledge=`` adopts the caller's object; folds land in it."""
+        corpus = [
+            MobilitySemanticsSequence(
+                "dev",
+                [
+                    MobilitySemantic(
+                        EVENT_STAY, "r-cafe", "r-cafe", TimeRange(0.0, 90.0)
+                    )
+                ],
+            )
+        ]
         knowledge = MobilityKnowledge(regions=list(REGIONS))
-        store = KnowledgeStore.wrap(knowledge)
-        store.fold(partial_of([]))
+        store = KnowledgeStore(knowledge=knowledge)
+        store.fold(partial_of(corpus))
         assert store.knowledge is knowledge
+        assert knowledge == knowledge_of(corpus)
 
     @settings(max_examples=25, deadline=None)
     @given(epoch_streams, st.integers(min_value=1, max_value=3))
@@ -585,22 +598,32 @@ class TestEngineStores:
     def test_increment_rejects_knowledge_and_store_together(self):
         engine = Engine(Translator(make_two_shop_dsm()))
         store = engine.make_store()
-        with pytest.raises(ConfigError):
+        with pytest.raises(TypeError):
             engine.translate_increment(
                 [], MobilityKnowledge(regions=["r"]), store=store
             )
+        with pytest.raises(TypeError):
+            engine.translate_increment([])  # the store is not optional
 
     def test_store_path_equals_legacy_path_under_unbounded(self):
-        """Folding through an explicit store reproduces the legacy
-        pass-the-knowledge-back path bit for bit."""
+        """Folding through a store reproduces the pre-store behaviour —
+        one bare knowledge object, every window's shard folded into it
+        forever — bit for bit, against the object-model reference."""
         windows = shop_windows()
-        engine = Engine(
-            Translator(make_two_shop_dsm()), EngineConfig(chunk_size=2)
-        )
+        translator = Translator(make_two_shop_dsm())
+        engine = Engine(translator, EngineConfig(chunk_size=2))
         store = engine.make_store()
-        knowledge = None
+        regions = translator.knowledge_regions()
+        knowledge = MobilityKnowledge(
+            regions=regions, smoothing=translator.config.knowledge_smoothing
+        )
         for window in windows:
-            _, knowledge = engine.translate_increment(window, knowledge)
+            knowledge.fold(
+                PartialKnowledge.from_sequences(
+                    run_phase_one_chunk(translator, window).annotated,
+                    regions,
+                )
+            )
             engine.translate_increment(window, store=store)
             store.roll()
         assert store.knowledge == knowledge
@@ -618,10 +641,10 @@ class TestEngineStores:
         for window in windows:
             engine.translate_increment(window, store=store)
             store.roll()
-        reference = None
+        recent = engine.make_store(retention="unbounded")
         for window in windows[-2:]:
-            _, reference = engine.translate_increment(window, reference)
-        assert store.knowledge == reference
+            engine.translate_increment(window, store=recent)
+        assert store.knowledge == recent.knowledge
 
 
 # ----------------------------------------------------------------------
@@ -657,9 +680,10 @@ class TestLiveLifecycle:
         engine = Engine(
             Translator(make_two_shop_dsm()), EngineConfig(chunk_size=2)
         )
-        reference = None
+        recent = engine.make_store(retention="unbounded")
         for window in windows[-2:]:
-            _, reference = engine.translate_increment(window, reference)
+            engine.translate_increment(window, store=recent)
+        reference = recent.knowledge
         assert store.knowledge == reference
         stats = service.stats.venues["east"]
         assert stats.retained_epochs == 2

@@ -254,7 +254,7 @@ def test_live_on_simulated_mall(mall3, population):
 
 
 # ----------------------------------------------------------------------
-# Record-layout differential: live path, objects vs columnar
+# Layout differential: the live (columnar) path vs the object-model reference
 # ----------------------------------------------------------------------
 def fuzz_records(seed: int, devices: int = 4, per_device: int = 40):
     """A reproducible random feed: dwell bursts, walks, teleports, floor
@@ -292,26 +292,27 @@ def fuzz_records(seed: int, devices: int = 4, per_device: int = 40):
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_live_layouts_finalize_identically(seed):
-    """Differential fuzz: the same random feed replayed through the live
-    service in both record layouts finalizes to identical results and
-    knowledge — the streaming counterpart of the engine-matrix proof."""
+    """Differential fuzz: a random feed replayed through the live service
+    (columnar windows, incremental folds) finalizes to the results and
+    knowledge of the object-model reference, ``Translator.translate_batch``
+    over the same windowed sequences — the streaming counterpart of the
+    engine-matrix proof."""
     records = fuzz_records(seed)
-    finalized = {}
-    for layout in ("objects", "columnar"):
-        service = LiveTranslationService(
-            {"east": Translator(make_two_shop_dsm())},
-            EngineConfig(backend="threads", workers=2, chunk_size=2,
-                         record_layout=layout),
-            LiveConfig(window_seconds=120.0),
-        )
-        with service:
-            service.run_stream(
-                RecordStream(iter(records)), venue_id="east"
-            )
-            finalized[layout] = service.finalize()["east"]
-    assert finalized["objects"].results == finalized["columnar"].results
-    assert finalized["objects"].knowledge == finalized["columnar"].knowledge
-    assert len(finalized["objects"].results) > 0
+    translator = Translator(make_two_shop_dsm())
+    service = LiveTranslationService(
+        {"east": translator},
+        EngineConfig(backend="threads", workers=2, chunk_size=2),
+        LiveConfig(window_seconds=120.0),
+    )
+    with service:
+        service.run_stream(RecordStream(iter(records)), venue_id="east")
+        finalized = service.finalize()["east"]
+    reference = translator.translate_batch(
+        list(sequence_stream(RecordStream(iter(records)), 120.0))
+    )
+    assert finalized.results == reference.results
+    assert finalized.knowledge == reference.knowledge
+    assert len(finalized.results) > 0
 
 
 # ----------------------------------------------------------------------
