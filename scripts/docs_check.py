@@ -15,7 +15,10 @@ CI runs this so the project documentation cannot rot silently:
    ``src/repro``, or a bench / example script the documents invoke), so
    a removed switch cannot live on in the docs;
 6. nothing under ``src/repro`` reads a ``TRIPS_*`` environment variable:
-   behaviour is selected by arguments, never by the process environment.
+   behaviour is selected by arguments, never by the process environment;
+7. every ``tests/…py`` / ``benchmarks/…py`` path and every backticked
+   ``test_*`` / ``Test*`` name those documents cite still exists, so a
+   retired bench or renamed test cannot live on in a "Proved by" column.
 
 Exits non-zero listing every problem found (not just the first).
 """
@@ -53,6 +56,15 @@ ENV_READ = re.compile(r"(?:environ|getenv)[^\"']{0,40}[\"'](TRIPS_[A-Z_]+)")
 SWITCH_SOURCES = ("src/repro", "benchmarks", "examples")
 #: Flags of third-party tools the documents invoke.
 FOREIGN_FLAGS = {"--benchmark-disable"}  # pytest-benchmark
+
+#: A cited suite path, or a bare ``bench_*.py`` name (under benchmarks/).
+CITED_PATH = re.compile(
+    r"\b(?:tests|benchmarks)/[\w/.-]*?\.py\b|(?<![\w/])bench_\w+\.py\b"
+)
+CITED_NAME = re.compile(r"(?:`|::)((?:test_|Test)\w+)`")
+DEFINITION = re.compile(r"^\s*(?:def|class)\s+(\w+)", re.MULTILINE)
+#: Where a cited test (or bench) name must be defined.
+CITATION_SOURCES = ("tests", "benchmarks")
 
 
 def module_name(path: Path) -> str:
@@ -123,11 +135,37 @@ def check_switches(problems: list[str]) -> None:
             )
 
 
+def check_citations(problems: list[str]) -> None:
+    defined = {
+        name
+        for root in CITATION_SOURCES
+        for path in sorted((ROOT / root).rglob("*.py"))
+        for name in DEFINITION.findall(path.read_text(encoding="utf-8"))
+    }
+    for relative in DOCUMENTS:
+        path = ROOT / relative
+        if not path.exists():
+            continue  # reported by check_documents
+        text = path.read_text(encoding="utf-8")
+        cited_paths = {
+            cited if "/" in cited else f"benchmarks/{cited}"
+            for cited in CITED_PATH.findall(text)
+        }
+        for cited in sorted(cited_paths):
+            if not (ROOT / cited).is_file():
+                problems.append(f"{relative}: cites {cited}, which is gone")
+        for name in sorted(set(CITED_NAME.findall(text)) - defined):
+            problems.append(
+                f"{relative}: cites {name}, which no test or bench defines"
+            )
+
+
 def main() -> int:
     problems: list[str] = []
     check_docstrings(problems)
     check_documents(problems)
     check_switches(problems)
+    check_citations(problems)
     if problems:
         print("docs check FAILED:")
         for problem in problems:

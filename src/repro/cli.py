@@ -343,9 +343,8 @@ def _cmd_serve(args) -> None:
     from .config import build_translator, load_task, select_sequences
     from .engine import EngineConfig
     from .errors import ConfigError
-    from .live import LiveConfig, LiveTranslationService
-
     from .knowledge import parse_retention
+    from .live import LiveConfig, LiveTranslationService
 
     if args.retention is not None:
         parse_retention(args.retention)  # fail fast on a malformed spec
@@ -400,90 +399,53 @@ def _cmd_serve(args) -> None:
         live_kwargs["snapshot_interval"] = args.snapshot_interval
     live_config = LiveConfig(**live_kwargs)
 
-    with _telemetry_session(args.metrics_port, args.telemetry_dump):
-        if args.shards > 1:
-            _serve_sharded(
-                args, translators, feeds, retention, engine_config,
-                live_config,
-            )
-            return
-
-        service = LiveTranslationService(
-            translators,
-            engine_config,
-            live_config,
-            retention=retention,
-            state_dir=args.state_dir,
+    def report(window) -> None:
+        exchanged = getattr(window, "exchange", None) is not None
+        print(
+            f"window {window.index:4d}  {window.records:6d} records  "
+            f"{window.elapsed_seconds * 1e3:7.1f} ms  "
+            f"{window.sequences} seq -> {window.semantics} sem"
+            + ("  [exchange]" if exchanged else "")
         )
 
-        def report(window) -> None:
-            venues = ", ".join(
-                f"{vid}: {len(batch)} seq -> {batch.total_semantics} sem"
-                for vid, batch in sorted(window.venues.items())
-            )
-            print(
-                f"window {window.index:4d}  {window.records:6d} records  "
-                f"{window.elapsed_seconds * 1e3:7.1f} ms  [{venues}]"
-            )
+    with _telemetry_session(args.metrics_port, args.telemetry_dump):
+        if args.shards > 1:
+            from .distributed import ShardedIngestService
 
+            service = ShardedIngestService(
+                translators,
+                shards=args.shards,
+                engine_config=engine_config,
+                live_config=live_config,
+                shard_router=args.shard_router,
+                exchange_interval=args.exchange_interval,
+                retention=retention,
+                state_dir=args.state_dir,
+            )
+        else:
+            service = LiveTranslationService(
+                translators,
+                engine_config,
+                live_config,
+                retention=retention,
+                state_dir=args.state_dir,
+            )
         with service:
             # A recovered service already absorbed a prefix of each
-            # venue's deterministic feed; skip exactly those records so
-            # the replayed feed resumes at the journaled window boundary.
-            processed = {
-                vid: state.records
-                for vid, state in service.stats.venues.items()
-            }
-            stats = service.serve(
+            # venue's deterministic feed — summed across shards, a single
+            # instance being its own one shard.  Routing is deterministic,
+            # so skipping exactly that prefix resumes at the journaled
+            # window boundary.
+            processed: dict[str, int] = {}
+            for shard in getattr(service, "shards", [service]):
+                for vid, venue in shard.stats.venues.items():
+                    processed[vid] = processed.get(vid, 0) + venue.records
+            stats = service.run_feeds(
                 _resume_feeds(feeds, processed), on_window=report
             )
             print(stats.format_table())
             if not args.no_finalize:
                 _report_finalized(service.finalize(), args.out)
-
-
-def _serve_sharded(
-    args, translators, feeds, retention, engine_config, live_config
-) -> None:
-    """The ``trips serve --shards N`` path: sharded cluster ingestion."""
-    from .distributed import ShardedIngestService
-
-    cluster = ShardedIngestService(
-        translators,
-        shards=args.shards,
-        engine_config=engine_config,
-        live_config=live_config,
-        shard_router=args.shard_router,
-        exchange_interval=args.exchange_interval,
-        retention=retention,
-        state_dir=args.state_dir,
-    )
-
-    def report(window) -> None:
-        shards = ", ".join(
-            f"shard {index}: {result.sequences} seq"
-            for index, result in sorted(window.shards.items())
-        )
-        note = "  [exchange]" if window.exchange is not None else ""
-        print(
-            f"window {window.index:4d}  {window.records:6d} records  "
-            f"{window.elapsed_seconds * 1e3:7.1f} ms  [{shards}]{note}"
-        )
-
-    with cluster:
-        # Per-venue records already absorbed, summed across the
-        # recovered shards (device routing is deterministic, so
-        # skipping the feed prefix re-routes identically).
-        processed: dict[str, int] = {}
-        for shard_stats in cluster.stats.per_shard:
-            for vid, venue_stats in shard_stats.venues.items():
-                processed[vid] = processed.get(vid, 0) + venue_stats.records
-        stats = cluster.run_feeds(
-            _resume_feeds(feeds, processed), on_window=report
-        )
-        print(stats.format_table())
-        if not args.no_finalize:
-            _report_finalized(cluster.finalize(), args.out)
 
 
 def _resume_feeds(feeds, processed):

@@ -35,11 +35,13 @@ from ..core.translator import (
     Translator,
 )
 from ..durability import FORMAT_VERSION, read_state_file, write_state_file
+from ..durability import require_fields
 from ..engine import EngineConfig
 from ..errors import ConfigError, PersistenceError
 from ..knowledge import RetentionPolicy, Unbounded, parse_retention
 from ..live import LiveConfig, LiveStats, LiveTranslationService
 from ..live.dispatch import Router
+from ..live.ingest import run_feeds
 from ..live.service import LiveWindowResult
 from ..positioning import RawPositioningRecord, RecordStream
 from .exchange import ExchangeRound, ExchangeStats, KnowledgeExchange
@@ -305,34 +307,42 @@ class ShardedIngestService:
         )
 
     def _recover_cluster(self) -> None:
-        exchange_payload = read_state_file(
-            self._exchange_path(), "trips-exchange"
-        )
+        # No cluster.json counts as zero cluster windows: shards that
+        # journaled any still trip the boundary check below.
+        exchange_path = self._exchange_path()
+        cluster_path = self._cluster_path()
+        exchange_payload = read_state_file(exchange_path, "trips-exchange")
         if exchange_payload is not None:
+            require_fields(exchange_payload, str(exchange_path), "state")
             self.exchange.restore_state(exchange_payload["state"])
-        cluster_payload = read_state_file(
-            self._cluster_path(), "trips-cluster"
-        )
+        cluster_payload = read_state_file(cluster_path, "trips-cluster")
         if cluster_payload is not None:
+            require_fields(
+                cluster_payload, str(cluster_path),
+                "windows", "since_exchange", "elapsed",
+            )
             self._windows = cluster_payload["windows"]
             self._since_exchange = cluster_payload["since_exchange"]
             self._elapsed = cluster_payload["elapsed"]
-            most = max(shard.stats.windows for shard in self.shards)
-            if most > self._windows:
+            rounds_ran = self._since_exchange < self._windows
+            if rounds_ran and exchange_payload is None:
                 raise PersistenceError(
-                    f"a shard recovered {most} windows but the cluster "
-                    f"state records only {self._windows}; the crash was "
-                    "not at a cluster-window boundary and the state "
-                    "directory is inconsistent"
+                    f"{cluster_path} records a completed exchange round "
+                    f"but {exchange_path} is missing; the merged cluster "
+                    "knowledge cannot be restored"
                 )
+        most = max(shard.stats.windows for shard in self.shards)
+        if most > self._windows:
+            raise PersistenceError(
+                f"a shard recovered {most} windows but the cluster state "
+                f"({cluster_path}) records only {self._windows}; the crash "
+                "was not at a cluster-window boundary and the state "
+                "directory is inconsistent"
+            )
 
     # ------------------------------------------------------------------
     # Window processing
     # ------------------------------------------------------------------
-    def shard_of(self, record: RawPositioningRecord) -> int:
-        """The shard index one record routes to."""
-        return self.shard_router(record, len(self.shards))
-
     def process_window(
         self,
         records: list[RawPositioningRecord],
@@ -417,59 +427,33 @@ class ShardedIngestService:
     # ------------------------------------------------------------------
     # Drivers
     # ------------------------------------------------------------------
+    def window_bounds(
+        self, venue_id: str | None = None
+    ) -> tuple[float, int | None]:
+        """The live config's global ``(window_seconds, max_records)``;
+        cluster windows never cut with a shard's adaptive target."""
+        config = self.live_config
+        return config.window_seconds, config.max_window_records
+
     def run_stream(
         self,
         stream: RecordStream,
         venue_id: str | None = None,
         on_window: Callable[[ClusterWindowResult], None] | None = None,
     ) -> ClusterStats:
-        """Replay one finite feed through the cluster, window by window.
-
-        Windows are cut with the live config's global bounds and
-        partitioned per shard; a final exchange round runs after the
-        feed drains, so the cluster ends converged.
-        """
-        self._ensure_open()
-        config = self.live_config
-        while True:
-            records = stream.take_window(
-                config.window_seconds, config.max_window_records
-            )
-            if not records:
-                break
-            window = self.process_window(records, venue_id)
-            if on_window is not None:
-                on_window(window)
-        self._final_exchange()
-        return self.stats
+        """:meth:`run_feeds` over the one feed ``{venue_id: stream}``."""
+        return self.run_feeds({venue_id: stream}, on_window)
 
     def run_feeds(
         self,
-        feeds: Mapping[str, RecordStream],
+        feeds: "Mapping[str | None, RecordStream]",
         on_window: Callable[[ClusterWindowResult], None] | None = None,
     ) -> ClusterStats:
-        """Replay venue-tagged feeds, interleaving one window per venue.
-
-        The synchronous multi-feed driver (the CLI's ``trips serve
-        --shards``): each pass cuts one window off every still-live
-        feed, in venue order, so venues progress together the way the
-        asyncio front-end interleaves them.  Ends with a final exchange
-        round, converged.
-        """
+        """Replay feeds through the sync round-robin driver
+        (:func:`repro.live.ingest.run_feeds`), then run a final exchange
+        round so the cluster ends converged."""
         self._ensure_open()
-        config = self.live_config
-        active = dict(feeds)
-        while active:
-            for venue_id in sorted(active):
-                records = active[venue_id].take_window(
-                    config.window_seconds, config.max_window_records
-                )
-                if not records:
-                    del active[venue_id]
-                    continue
-                window = self.process_window(records, venue_id)
-                if on_window is not None:
-                    on_window(window)
+        run_feeds(self, feeds, on_window)
         self._final_exchange()
         return self.stats
 

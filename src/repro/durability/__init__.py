@@ -43,6 +43,7 @@ from .journal import (
     SNAPSHOT_MAGIC,
     DurableStateJournal,
     read_state_file,
+    require_fields,
     write_state_file,
 )
 from .wal import WAL_MAGIC, WriteAheadLog
@@ -60,5 +61,6 @@ __all__ = [
     "encode_records",
     "encode_retention",
     "read_state_file",
+    "require_fields",
     "write_state_file",
 ]

@@ -85,6 +85,20 @@ def read_state_file(path: Path, magic: str) -> "dict | None":
     return payload
 
 
+def require_fields(
+    body: object, where: str, *names: str, **kinds: type
+) -> None:
+    """Raise :class:`~repro.errors.PersistenceError` naming ``where`` and
+    the field unless ``body`` holds every field of ``names`` (any value)
+    and of ``kinds`` (an instance of its type) — not a later bare
+    ``KeyError`` / ``TypeError`` mid-recovery."""
+    if not isinstance(body, dict):
+        raise PersistenceError(f"{where} is not a JSON object")
+    for name, kind in (*((name, object) for name in names), *kinds.items()):
+        if name not in body or not isinstance(body[name], kind):
+            raise PersistenceError(f"{where} has no valid {name!r} field")
+
+
 class DurableStateJournal:
     """Snapshot + WAL pair for one service (or one shard) instance."""
 

@@ -301,10 +301,7 @@ class Engine:
         )
 
     def make_store(
-        self,
-        retention: "str | None" = None,
-        *,
-        knowledge: MobilityKnowledge | None = None,
+        self, retention: "str | None" = None
     ) -> KnowledgeStore | None:
         """A fresh knowledge store for this engine's venue.
 
@@ -313,24 +310,12 @@ class Engine:
         ``EngineConfig.retention``.  Returns ``None`` when the venue
         builds no knowledge at all (complementing disabled or no semantic
         regions) — the same gate every knowledge build shares.
-
-        ``knowledge`` attaches an *external* knowledge object instead of
-        creating a fresh one: the store adopts it and every fold through
-        :meth:`translate_increment` mutates it in place.  This is how a
-        caller that owns knowledge outside the engine — a distributed
-        coordinator rebasing a shard on merged cluster state, or a warm
-        restart from a serialized prior — plugs it into the incremental
-        path without losing the store's epoch lifecycle.  The venue gate
-        still applies: a venue that builds no knowledge returns ``None``
-        even when ``knowledge`` is given.
         """
         regions = self.translator.knowledge_regions()
         if regions is None:
             return None
         if retention is None:
             retention = self.config.retention
-        if knowledge is not None:
-            return KnowledgeStore(knowledge=knowledge, retention=retention)
         return KnowledgeStore(
             regions,
             smoothing=self.translator.config.knowledge_smoothing,

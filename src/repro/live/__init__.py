@@ -14,11 +14,12 @@ How it works
 is cut into consecutive windows bounded by time
 (``LiveConfig.window_seconds``) and optionally by record count
 (``LiveConfig.max_window_records``) — whichever bound closes first.
-Windows flow through a bounded asyncio queue
-(``LiveConfig.max_pending_windows`` deep); when translation falls behind
-the feed, the queue fills and the feed readers block, so in-flight
-memory stays proportional to queue depth × window size regardless of
-feed length (see :mod:`repro.live.ingest`).
+``serve`` cuts through the asyncio front-end: a bounded queue
+(``LiveConfig.max_pending_windows`` deep) fills when translation falls
+behind and blocks the feed readers, so in-flight memory stays bounded
+by queue depth × window size.  ``run_stream`` / ``run_feeds`` (here and
+on the sharded cluster) and ``trips serve`` cut through the sync loop,
+one window per live feed per pass (see :mod:`repro.live.ingest`).
 
 **Fold, don't rebuild.**  Every window runs through the engine's
 incremental path: phase one (clean + annotate) fans out across the

@@ -1,8 +1,11 @@
-"""Asyncio ingestion front-end: bounded queues over blocking feeds.
+"""Window drivers: a sync round-robin loop and the asyncio front-end.
 
-:class:`~repro.positioning.RecordStream` is pull-based and blocking — a
-network feed parks the reader until records arrive.  The front-end here
-turns one or more such feeds into a windowed producer/consumer pipeline:
+:func:`run_feeds` replays finite feeds on the calling thread — every
+``run_stream`` / ``run_feeds`` call and ``trips serve``, single instance
+or sharded cluster.  :func:`serve_async` (behind ``serve``) is for
+blocking feeds: :class:`~repro.positioning.RecordStream` is pull-based —
+a network feed parks the reader until records arrive — so the front-end
+turns one or more feeds into a windowed producer/consumer pipeline:
 
 - one **producer** task per feed cuts time/count-bounded windows off the
   feed in a worker thread (``asyncio.to_thread``), so a slow feed never
@@ -26,7 +29,7 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import time
-from typing import TYPE_CHECKING, Callable, Mapping, Union
+from typing import TYPE_CHECKING, Any, Callable, Mapping, Union
 
 from ..positioning import RawPositioningRecord, RecordStream
 from ..telemetry import get_registry
@@ -53,6 +56,29 @@ def _as_feed_map(
 
         raise DispatchError("serve() needs at least one feed")
     return dict(feeds)
+
+
+def run_feeds(
+    service: Any,
+    feeds: "Mapping[str | None, RecordStream]",
+    on_window: "Callable[[Any], None] | None" = None,
+) -> None:
+    """Cut one window per still-live feed per pass, in sorted venue
+    order, with bounds re-read from ``service.window_bounds`` before
+    every cut, until every feed is exhausted.  ``service`` is the live
+    service or the sharded cluster; a ``None`` key is an untagged feed.
+    """
+    active = dict(feeds)
+    while active:
+        for venue_id in sorted(active):
+            seconds, max_records = service.window_bounds(venue_id)
+            records = active[venue_id].take_window(seconds, max_records)
+            if not records:
+                del active[venue_id]
+                continue
+            window = service.process_window(records, venue_id)
+            if on_window is not None:
+                on_window(window)
 
 
 async def serve_async(

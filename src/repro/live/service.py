@@ -43,12 +43,13 @@ With ``LiveConfig.adaptive_windowing`` (off by default) the service
 keeps an EWMA of each venue's observed records/sec and derives a
 per-venue ``max_window_records`` target from it, so a quiet office and a
 busy mall both keep their windows near the configured time span without
-one burst growing a window without bound.  The ingestion front-end and
-:meth:`run_stream` consult :meth:`window_bounds` per window.
+one burst growing a window without bound.  Both window drivers
+(:mod:`repro.live.ingest`) consult :meth:`window_bounds` per window.
 """
 
 from __future__ import annotations
 
+import asyncio
 import math
 import time
 from dataclasses import dataclass, field
@@ -78,10 +79,11 @@ from ..durability import (
     encode,
     encode_records,
     encode_retention,
+    require_fields,
 )
 from ..errors import PersistenceError
 from .dispatch import Router, VenueDispatcher
-from .ingest import FeedSet, serve_async
+from .ingest import FeedSet, run_feeds as _run_feeds, serve_async
 
 #: Adaptive windowing never drives a venue's record target below this —
 #: a near-idle venue still gets meaningful batches.
@@ -172,6 +174,30 @@ class VenueStats:
     #: The adaptive per-venue ``max_window_records`` target (``None``
     #: until adaptive windowing has observed a window).
     window_records_target: int | None = None
+
+    def count(
+        self, store: KnowledgeStore | None, records: int, sequences: int,
+        semantics: int, seconds: float, windows: int = 1,
+    ) -> None:
+        """Count one window — translated, or replayed from the WAL — or a
+        snapshot's ``windows`` onto fresh stats, then re-read the
+        knowledge fields from the venue's ``store``."""
+        self.windows += windows
+        self.records += records
+        self.sequences += sequences
+        self.semantics += semantics
+        self.translate_seconds += seconds
+        if store is not None:
+            self.knowledge_sequences = store.knowledge.sequences_seen
+            self.retained_epochs = store.retained_epochs
+
+
+#: The :class:`VenueStats` fields a snapshot journals (the knowledge
+#: fields are re-read from the restored store).
+_JOURNALED_STATS = (
+    "windows", "records", "sequences", "semantics", "translate_seconds",
+    "window_records_target",
+)
 
 
 @dataclass
@@ -298,11 +324,11 @@ class LiveTranslationService:
 
     Construct with ``{venue_id: Translator}`` — one entry per building —
     plus the engine and live configs; then either drive it window by
-    window (:meth:`process_window`), replay a finite stream on the
-    calling thread (:meth:`run_stream`), or serve one or more feeds
-    through the asyncio ingestion front-end (:meth:`serve` /
-    :meth:`aserve`).  The worker pool opens lazily on the first window
-    and stays warm until :meth:`close`; the service is a context manager.
+    window (:meth:`process_window`), replay finite feeds on the calling
+    thread (:meth:`run_stream` / :meth:`run_feeds`), or serve one or
+    more feeds through the asyncio ingestion front-end (:meth:`serve`).
+    The worker pool opens lazily on the first window and stays warm
+    until :meth:`close`; the service is a context manager.
     """
 
     def __init__(
@@ -370,21 +396,15 @@ class LiveTranslationService:
         backend.open(dict(self.dispatcher.translators))
         self._backend = backend
         for venue_id in self.dispatcher.venue_ids:
+            engine = Engine(
+                self.dispatcher.translator(venue_id),
+                self.engine_config,
+                backend=backend,
+                context_key=venue_id,
+            )
             if venue_id not in self._states:
-                engine = Engine(
-                    self.dispatcher.translator(venue_id),
-                    self.engine_config,
-                    backend=backend,
-                    context_key=venue_id,
-                )
                 self._states[venue_id] = _VenueState(venue_id, engine)
-            else:
-                self._states[venue_id].engine = Engine(
-                    self.dispatcher.translator(venue_id),
-                    self.engine_config,
-                    backend=backend,
-                    context_key=venue_id,
-                )
+            self._states[venue_id].engine = engine
         if self._journal is not None:
             if not self._recovered:
                 self._journal.open()
@@ -463,17 +483,10 @@ class LiveTranslationService:
             venue_elapsed = time.perf_counter() - venue_started
             if self.live_config.retain_results:
                 state.results.extend(batch.results)
-            stats = state.stats
-            stats.windows += 1
-            stats.records += len(venue_records)
-            stats.sequences += len(batch)
-            stats.semantics += batch.total_semantics
-            stats.translate_seconds += venue_elapsed
-            if state.store is not None:
-                stats.knowledge_sequences = (
-                    state.store.knowledge.sequences_seen
-                )
-                stats.retained_epochs = state.store.retained_epochs
+            state.stats.count(
+                state.store, len(venue_records), len(batch),
+                batch.total_semantics, venue_elapsed,
+            )
             if registry.enabled:
                 registry.histogram(
                     "trips_live_window_seconds", venue=vid
@@ -601,14 +614,8 @@ class LiveTranslationService:
                 ),
                 "store_checked": state.store_checked,
                 "stats": {
-                    "windows": state.stats.windows,
-                    "records": state.stats.records,
-                    "sequences": state.stats.sequences,
-                    "semantics": state.stats.semantics,
-                    "translate_seconds": state.stats.translate_seconds,
-                    "window_records_target": (
-                        state.stats.window_records_target
-                    ),
+                    name: getattr(state.stats, name)
+                    for name in _JOURNALED_STATS
                 },
                 "ewma": state.ewma_rate,
                 "batches": (
@@ -661,6 +668,10 @@ class LiveTranslationService:
                     )
 
     def _restore_snapshot(self, snapshot: dict) -> None:
+        where = f"snapshot {self._journal.snapshot_path}"
+        require_fields(
+            snapshot, where, "translate_seconds", "elapsed", venues=dict
+        )
         self._windows = snapshot["windows"]
         self._translate_seconds = snapshot["translate_seconds"]
         self._elapsed = snapshot["elapsed"]
@@ -671,27 +682,28 @@ class LiveTranslationService:
                     f"snapshot names venue {vid!r}, which this service "
                     "does not serve"
                 )
+            require_fields(
+                payload, f"{where} venue {vid!r}",
+                "store", "store_checked", "ewma", "batches", stats=dict,
+            )
+            counters = payload["stats"]
+            require_fields(
+                counters, f"{where} venue {vid!r} stats", *_JOURNALED_STATS
+            )
             if payload["store"] is not None:
                 store = decode(payload["store"])
                 self._check_restored_retention(vid, store)
                 store.track_deltas = True
                 state.store = store
             state.store_checked = payload["store_checked"]
-            counters = payload["stats"]
-            state.stats.windows = counters["windows"]
-            state.stats.records = counters["records"]
-            state.stats.sequences = counters["sequences"]
-            state.stats.semantics = counters["semantics"]
-            state.stats.translate_seconds = counters["translate_seconds"]
-            state.stats.window_records_target = counters[
-                "window_records_target"
-            ]
+            stats = state.stats
+            stats.count(
+                state.store, counters["records"], counters["sequences"],
+                counters["semantics"], counters["translate_seconds"],
+                windows=counters["windows"],
+            )
+            stats.window_records_target = counters["window_records_target"]
             state.ewma_rate = payload["ewma"]
-            if state.store is not None:
-                state.stats.knowledge_sequences = (
-                    state.store.knowledge.sequences_seen
-                )
-                state.stats.retained_epochs = state.store.retained_epochs
             if self.live_config.retain_results and payload["batches"]:
                 state.batches = [
                     decode_records(rows) for rows in payload["batches"]
@@ -722,7 +734,14 @@ class LiveTranslationService:
                 f"follow {self._windows} recovered windows (gap or "
                 "duplicate in the log)"
             )
+        where = f"WAL {self._journal.wal.path} window {self._windows}"
+        require_fields(entry, where, venues=list)
         for payload in entry["venues"]:
+            require_fields(
+                payload, f"{where} venue entry", "records", "sequences",
+                "semantics", "seconds", "delta", "start", "end", "batch",
+                venue=str, retired=list,
+            )
             vid = payload["venue"]
             state = self._states.get(vid)
             if state is None:
@@ -750,17 +769,10 @@ class LiveTranslationService:
                         f"{[e.index for e in retired]} where the log "
                         f"recorded {payload['retired']}"
                     )
-            stats = state.stats
-            stats.windows += 1
-            stats.records += payload["records"]
-            stats.sequences += payload["sequences"]
-            stats.semantics += payload["semantics"]
-            stats.translate_seconds += payload["seconds"]
-            if state.store is not None:
-                stats.knowledge_sequences = (
-                    state.store.knowledge.sequences_seen
-                )
-                stats.retained_epochs = state.store.retained_epochs
+            state.stats.count(
+                state.store, payload["records"], payload["sequences"],
+                payload["semantics"], payload["seconds"],
+            )
             if (
                 self.live_config.retain_results
                 and payload["batch"] is not None
@@ -816,7 +828,7 @@ class LiveTranslationService:
         The time span is global; the record bound is the venue's
         adaptive target when adaptive windowing is on and the venue has
         been observed, else the global ``max_window_records``.  Consulted
-        per window by :meth:`run_stream` and the asyncio producers.
+        before every cut by both window drivers.
         """
         config = self.live_config
         max_records = config.max_window_records
@@ -835,22 +847,19 @@ class LiveTranslationService:
         venue_id: str | None = None,
         on_window: Callable[[LiveWindowResult], None] | None = None,
     ) -> LiveStats:
-        """Replay one finite feed window by window on the calling thread.
+        """:meth:`run_feeds` over the one feed ``{venue_id: stream}``."""
+        return self.run_feeds({venue_id: stream}, on_window)
 
-        The synchronous driver: no asyncio, same windowing and fold
-        semantics as :meth:`serve` — including per-venue adaptive window
-        bounds, consulted before each cut.  Leaves the service open so
-        the caller can :meth:`finalize` against the warm pool.
-        """
+    def run_feeds(
+        self,
+        feeds: "Mapping[str | None, RecordStream]",
+        on_window: Callable[[LiveWindowResult], None] | None = None,
+    ) -> LiveStats:
+        """Replay finite feeds through the sync round-robin driver
+        (:func:`repro.live.ingest.run_feeds`), leaving the service open
+        for :meth:`finalize`."""
         self._ensure_open()
-        while True:
-            window_seconds, max_records = self.window_bounds(venue_id)
-            records = stream.take_window(window_seconds, max_records)
-            if not records:
-                break
-            window = self.process_window(records, venue_id)
-            if on_window is not None:
-                on_window(window)
+        _run_feeds(self, feeds, on_window)
         return self.stats
 
     def serve(
@@ -862,23 +871,10 @@ class LiveTranslationService:
 
         ``feeds`` is a single (router-dispatched) :class:`RecordStream`
         or a ``{venue_id: RecordStream}`` map of tagged feeds.  Blocking
-        convenience wrapper over :meth:`aserve`.
+        wrapper over :func:`repro.live.serve_async`.
         """
-        import asyncio
-
-        return asyncio.run(self.aserve(feeds, on_window=on_window))
-
-    async def aserve(
-        self,
-        feeds: FeedSet,
-        on_window: Callable[[LiveWindowResult], None] | None = None,
-    ) -> LiveStats:
-        """Async ingestion: windows are cut per feed and queued with
-        backpressure (``LiveConfig.max_pending_windows``), translation
-        runs off the event loop, and the call returns once every feed is
-        exhausted and every queued window translated."""
         self._ensure_open()
-        return await serve_async(self, feeds, on_window=on_window)
+        return asyncio.run(serve_async(self, feeds, on_window=on_window))
 
     # ------------------------------------------------------------------
     # Accumulated state

@@ -242,6 +242,80 @@ class TestCli:
         assert "epochs" in captured
         assert len(list((out / "north").glob("*.json"))) > 0
 
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_serve_resumes_a_journaled_prefix(
+        self, task_workspace, tmp_path, capsys, shards
+    ):
+        """`trips serve --state-dir` over a directory holding a window-
+        aligned journaled prefix (a kill at a window boundary) skips
+        exactly the journaled records per venue and exports the same
+        bytes as an uninterrupted run — single instance and cluster
+        through the one serve path."""
+        from repro.config import build_translator
+        from repro.distributed import ShardedIngestService
+        from repro.engine import EngineConfig
+        from repro.live import LiveConfig, LiveTranslationService
+        from repro.positioning import RecordStream, windowed_records
+
+        _, _, config_path = task_workspace
+        window_seconds = 1800.0
+        task = load_task(config_path)
+        feed = sorted(
+            (r for s in select_sequences(task) for r in s.records),
+            key=lambda r: (r.timestamp, r.device_id),
+        )
+        windows = list(
+            windowed_records(RecordStream(iter(feed)), window_seconds)
+        )
+        assert len(windows) > 4
+        prefix = {"north": windows[:2], "south": windows[:3]}
+        translators = {venue: build_translator(task) for venue in prefix}
+        retention = {venue: task.knowledge_retention for venue in prefix}
+        live_config = LiveConfig(window_seconds=window_seconds)
+        state_dir = tmp_path / "state"
+        if shards == 1:
+            service = LiveTranslationService(
+                translators, EngineConfig(), live_config,
+                retention=retention, state_dir=state_dir,
+            )
+        else:
+            service = ShardedIngestService(
+                translators, shards=shards, live_config=live_config,
+                retention=retention, state_dir=state_dir,
+            )
+        service.open()
+        for venue, venue_windows in prefix.items():
+            for window in venue_windows:
+                service.process_window(window, venue)
+        service.close()  # no checkpoint: a kill at a window boundary
+
+        def serve(out, *extra):
+            assert cli_main(
+                ["serve", f"north={config_path}", f"south={config_path}",
+                 "--window-seconds", str(window_seconds),
+                 "--shards", str(shards), "--out", str(out), *extra]
+            ) == 0
+            return capsys.readouterr().out
+
+        def exported(directory):
+            return {
+                str(path.relative_to(directory)): path.read_bytes()
+                for path in directory.rglob("*.json")
+            }
+
+        resumed = serve(tmp_path / "resumed", "--state-dir", str(state_dir))
+        for venue, venue_windows in prefix.items():
+            skipped = sum(len(window) for window in venue_windows)
+            assert (
+                f"resuming {venue}: skipping {skipped} journaled records"
+                in resumed
+            )
+        assert "resuming" not in serve(tmp_path / "uninterrupted")
+        assert exported(tmp_path / "resumed") == exported(
+            tmp_path / "uninterrupted"
+        )
+        assert len(exported(tmp_path / "resumed")) > 0
+
     def test_serve_rejects_malformed_retention(self, task_workspace, capsys):
         _, _, config_path = task_workspace
         assert cli_main(

@@ -28,7 +28,6 @@ from repro.distributed import (
 )
 from repro.engine import Engine, EngineConfig
 from repro.errors import ConfigError
-from repro.knowledge import KnowledgeStore
 from repro.live import LiveConfig, LiveTranslationService
 from repro.positioning import RecordStream, sequence_stream, windowed_records
 
@@ -214,13 +213,6 @@ class TestMergeHooks:
         assert delta == fresh.to_partial()
         # And no baseline means the full export.
         assert store.export_delta() == store.to_partial()
-
-    def test_make_store_attaches_external_knowledge(self):
-        engine = Engine(Translator(make_two_shop_dsm()))
-        external = engine.make_store().knowledge
-        store = engine.make_store(knowledge=external)
-        assert isinstance(store, KnowledgeStore)
-        assert store.knowledge is external
 
     def test_ensure_store_materializes_before_any_window(self):
         service = LiveTranslationService(
@@ -505,6 +497,37 @@ class TestClusterStats:
         cluster = make_cluster(shards=2)
         assert "2 shards" in str(cluster)
         assert "KnowledgeExchange" in str(cluster.exchange)
+
+    def test_run_stream_equals_run_feeds_over_one_tagged_feed(self):
+        finalized, stats = [], []
+        for drive in (
+            lambda c, s: c.run_stream(s, venue_id="east"),
+            lambda c, s: c.run_feeds({"east": s}),
+        ):
+            cluster = make_cluster(shards=2, exchange_interval=2)
+            feed = RecordStream(iter(shop_records()))
+            with cluster:
+                stats.append(drive(cluster, feed))
+                finalized.append(cluster.finalize()["east"])
+        assert finalized[0].results == finalized[1].results
+        assert finalized[0].knowledge == finalized[1].knowledge
+        assert stats[0].windows == stats[1].windows > 1
+        assert stats[0].exchange.rounds == stats[1].exchange.rounds
+
+    def test_sharded_service_surface(self):
+        """The ratchet: the sync drivers read ``window_bounds``; the
+        dead ``shard_of`` stays deleted."""
+        public = {
+            name for name in dir(ShardedIngestService)
+            if not name.startswith("_")
+        }
+        assert public == {
+            "open", "close", "process_window", "exchange_now",
+            "window_bounds", "run_stream", "run_feeds", "stats",
+            "merged_knowledge", "finalize",
+        }
+        cluster = make_cluster(shards=2)
+        assert cluster.window_bounds("east") == (WINDOW_SECONDS, None)
 
 
 # ----------------------------------------------------------------------

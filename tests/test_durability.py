@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import Translator
@@ -459,6 +459,13 @@ def uninterrupted():
 
 class TestCrashRecovery:
     @settings(max_examples=15, deadline=None)
+    # Pinned: the whole feed journaled with no snapshot, then recovered
+    # by replaying every WAL entry — journaled == unjournaled, bit for bit.
+    @example(
+        kill_at=len(feed_windows()),
+        retention="window:2",
+        snapshot_interval=len(feed_windows()) + 1,
+    )
     @given(
         kill_at=st.integers(min_value=0, max_value=len(feed_windows())),
         retention=st.sampled_from(RETENTIONS),
@@ -640,12 +647,51 @@ class TestRecoveryValidation:
         with pytest.raises(PersistenceError):
             make_service("window:2", state_dir).open()
 
+    @pytest.mark.parametrize(
+        "journal_file, field, tamper",
+        [
+            ("wal.jsonl", "venues", lambda body: body.pop("venues")),
+            ("wal.jsonl", "delta",
+             lambda body: body["venues"][0].pop("delta")),
+            ("wal.jsonl", "venues", lambda body: body.update(venues=7)),
+            ("snapshot.json", "venues", lambda body: body.pop("venues")),
+            ("snapshot.json", "elapsed", lambda body: body.pop("elapsed")),
+        ],
+        ids=[
+            "wal-without-venues", "wal-venue-without-delta", "wal-venues-int",
+            "snapshot-without-venues", "snapshot-without-elapsed",
+        ],
+    )
+    def test_malformed_journal_body_is_refused(
+        self, tmp_path, journal_file, field, tamper
+    ):
+        """Valid header and magic, a body missing a field recovery reads:
+        a PersistenceError naming the file and the field, not the
+        ``KeyError`` / ``TypeError`` of using it."""
+        state_dir = tmp_path / "state"
+        service = make_service("unbounded", state_dir, snapshot_interval=10)
+        with service:
+            for window in feed_windows()[:3]:
+                service.process_window(window, "east")
+            if journal_file == "snapshot.json":
+                service.checkpoint()
+        path = state_dir / journal_file
+        lines = path.read_bytes().splitlines(keepends=True)
+        body = json.loads(lines[-1])
+        tamper(body)
+        lines[-1] = json.dumps(body, separators=(",", ":")).encode() + b"\n"
+        path.write_bytes(b"".join(lines))
+        with pytest.raises(PersistenceError) as refused:
+            make_service("unbounded", state_dir, snapshot_interval=10).open()
+        assert journal_file in str(refused.value)
+        assert repr(field) in str(refused.value)
+
 
 # ----------------------------------------------------------------------
 # Sharded cluster recovery
 # ----------------------------------------------------------------------
 class TestShardedRecovery:
-    def make_cluster(self, state_dir=None, shards=2):
+    def make_cluster(self, state_dir=None, shards=2, exchange_interval=2):
         from repro.distributed import ShardedIngestService
 
         return ShardedIngestService(
@@ -655,7 +701,7 @@ class TestShardedRecovery:
             live_config=LiveConfig(
                 window_seconds=WINDOW_SECONDS, snapshot_interval=3
             ),
-            exchange_interval=2,
+            exchange_interval=exchange_interval,
             state_dir=state_dir,
         )
 
@@ -716,3 +762,60 @@ class TestShardedRecovery:
         cluster_json.write_text(json.dumps(payload))
         with pytest.raises(PersistenceError):
             self.make_cluster(tmp_path / "cluster").open()
+
+    def test_crash_inside_first_exchange_round_is_refused(
+        self, tmp_path, monkeypatch
+    ):
+        """Killed inside the first round — shard checkpoints landed,
+        neither cluster.json nor exchange.json written — the directory
+        counts zero cluster windows, so the shards' journaled window is
+        refused instead of resuming on double-counted knowledge."""
+        import repro.distributed.service as cluster_module
+
+        class Killed(Exception):
+            pass
+
+        def die(path, payload):
+            raise Killed(path)
+
+        state_dir = tmp_path / "cluster"
+        crashed = self.make_cluster(state_dir, exchange_interval=1)
+        crashed.open()
+        monkeypatch.setattr(cluster_module, "write_state_file", die)
+        with pytest.raises(Killed):
+            crashed.process_window(feed_windows()[0], "east")
+        monkeypatch.undo()
+        del crashed
+        assert not (state_dir / "cluster.json").exists()
+        assert not (state_dir / "exchange.json").exists()
+        with pytest.raises(PersistenceError, match="cluster-window boundary"):
+            self.make_cluster(state_dir, exchange_interval=1).open()
+
+    def test_missing_exchange_state_after_rounds_is_refused(self, tmp_path):
+        """cluster.json records completed rounds but exchange.json is
+        gone: the merged knowledge cannot be restored, so recovery
+        refuses rather than re-adding rebased evidence."""
+        state_dir = tmp_path / "cluster"
+        cluster = self.make_cluster(state_dir)
+        with cluster:
+            for window in feed_windows()[:6]:
+                cluster.process_window(window, "east")
+        assert cluster.stats.exchange.rounds == 3
+        (state_dir / "exchange.json").unlink()
+        with pytest.raises(PersistenceError, match="exchange.json"):
+            self.make_cluster(state_dir).open()
+
+    def test_cluster_state_without_since_exchange_is_refused(self, tmp_path):
+        state_dir = tmp_path / "cluster"
+        cluster = self.make_cluster(state_dir)
+        with cluster:
+            for window in feed_windows()[:3]:
+                cluster.process_window(window, "east")
+        cluster_json = state_dir / "cluster.json"
+        payload = json.loads(cluster_json.read_bytes())
+        del payload["since_exchange"]
+        cluster_json.write_text(json.dumps(payload))
+        with pytest.raises(PersistenceError) as refused:
+            self.make_cluster(state_dir).open()
+        assert "cluster.json" in str(refused.value)
+        assert "'since_exchange'" in str(refused.value)

@@ -12,6 +12,7 @@ complements and confidences field by field.
 from __future__ import annotations
 
 import dataclasses
+import inspect
 
 import pytest
 
@@ -569,13 +570,17 @@ def test_engine_config_validation():
 
 
 def test_engine_config_surface():
-    """The ratchet: four options, and the removed ones stay removed."""
+    """The ratchet: four options, and the removed ones stay removed —
+    ``Engine.make_store`` included, which takes no external knowledge."""
     assert {f.name for f in dataclasses.fields(EngineConfig)} == {
         "backend", "workers", "chunk_size", "retention",
     }
     for removed in ("record_layout", "knowledge_build", "phase_one_cache"):
         with pytest.raises(TypeError):
             EngineConfig(**{removed: None})
+    assert list(inspect.signature(Engine.make_store).parameters) == [
+        "self", "retention",
+    ]
 
 
 def test_create_backend_registry():

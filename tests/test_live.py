@@ -11,7 +11,7 @@ translator while all venues share one worker pool.
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
@@ -313,6 +313,78 @@ def test_live_layouts_finalize_identically(seed):
     assert finalized.results == reference.results
     assert finalized.knowledge == reference.knowledge
     assert len(finalized.results) > 0
+
+
+# ----------------------------------------------------------------------
+# Driver differential: every entry point cuts the same windows
+# ----------------------------------------------------------------------
+def finalize_through(driver, translators, feeds, backend, adaptive):
+    """Replay ``feeds`` through one service entry point, then finalize."""
+    service = LiveTranslationService(
+        translators,
+        EngineConfig(backend=backend, workers=2, chunk_size=2),
+        LiveConfig(window_seconds=60.0, adaptive_windowing=adaptive),
+    )
+    streams = {venue: RecordStream(iter(r)) for venue, r in feeds.items()}
+    with service:
+        if driver == "run_stream":
+            for venue_id, stream in streams.items():
+                service.run_stream(stream, venue_id)
+        else:
+            getattr(service, driver)(streams)
+        return service.finalize()
+
+
+@pytest.mark.parametrize("backend", ["serial", "threads"])
+@pytest.mark.parametrize("adaptive", [False, True], ids=["fixed", "adaptive"])
+@pytest.mark.parametrize("tagged", [True, False], ids=["tagged", "untagged"])
+def test_drivers_finalize_identically(two_venues, backend, adaptive, tagged):
+    """``run_feeds``, per-venue ``run_stream`` and ``serve`` finalize bit
+    for bit alike.
+
+    ``serve`` sits out tagged adaptive feeds: its producers read a
+    venue's adaptive record bound while that venue's earlier windows are
+    still queued, so its cuts there depend on scheduling; the sync
+    driver reads every bound after the previous window translated.
+    """
+    if tagged:  # bursty feeds, so the adaptive record bound closes cuts
+        feeds = {"east": fuzz_records(1), "west": fuzz_records(2)}
+    else:
+        mixed = shop_records("east:") + shop_records("west:", start=13.0)
+        mixed.sort(key=lambda r: (r.timestamp, r.device_id))
+        feeds = {None: mixed}  # dispatcher-routed by device-id prefix
+    drivers = ["run_feeds", "run_stream"]
+    if not (tagged and adaptive):
+        drivers.append("serve")
+    finalized = {
+        driver: finalize_through(driver, two_venues, feeds, backend, adaptive)
+        for driver in drivers
+    }
+    reference = finalized["run_feeds"]
+    assert all(len(batch) > 0 for batch in reference.values())
+    for driver in drivers[1:]:
+        for venue_id, batch in reference.items():
+            assert finalized[driver][venue_id].results == batch.results
+            assert finalized[driver][venue_id].knowledge == batch.knowledge
+
+
+def test_live_service_surface():
+    """The ratchet: one sync driver entry pair plus ``serve``, and
+    ``LiveConfig`` stays at seven options."""
+    public = {
+        name for name in dir(LiveTranslationService)
+        if not name.startswith("_")
+    }
+    assert public == {
+        "open", "close", "process_window", "checkpoint", "window_bounds",
+        "run_stream", "run_feeds", "serve", "stats", "knowledge", "store",
+        "ensure_store", "results", "viewer_session", "finalize",
+    }
+    assert {f.name for f in fields(LiveConfig)} == {
+        "window_seconds", "max_window_records", "max_pending_windows",
+        "retain_results", "adaptive_windowing", "adaptive_alpha",
+        "snapshot_interval",
+    }
 
 
 # ----------------------------------------------------------------------
