@@ -230,17 +230,26 @@ class ShardedIngestService:
     # Lifecycle
     # ------------------------------------------------------------------
     def open(self) -> "ShardedIngestService":
-        """Open every shard's pool plus the cluster's driver threads."""
+        """Open every shard's pool plus the cluster's driver threads.
+
+        When a shard's or the cluster's recovery refuses the state
+        directory, everything already opened is closed again before the
+        error propagates.
+        """
         if self._driver is None:
             self._driver = ThreadPoolExecutor(
                 max_workers=len(self.shards),
                 thread_name_prefix="trips-shard",
             )
-        for shard in self.shards:
-            shard.open()  # each shard recovers from its own journal
-        if self._state_dir is not None and not self._cluster_recovered:
-            self._recover_cluster()
-            self._cluster_recovered = True
+        try:
+            for shard in self.shards:
+                shard.open()  # each shard recovers from its own journal
+            if self._state_dir is not None and not self._cluster_recovered:
+                self._recover_cluster()
+                self._cluster_recovered = True
+        except BaseException:
+            self.close()
+            raise
         return self
 
     def close(self) -> None:

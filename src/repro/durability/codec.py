@@ -1,12 +1,15 @@
-"""Versioned, self-describing codec for the knowledge state machine.
+"""Versioned codec for the knowledge state machine and phase-one output.
 
-Every durable payload is a plain JSON-compatible dict tagged with its
-type under ``"t"``; :func:`encode` and :func:`decode` dispatch on that
-tag, so a WAL entry or snapshot is readable without knowing in advance
-what it holds.  :data:`FORMAT_VERSION` stamps the container files (WAL
-header, snapshot envelope) and is checked on load — an unknown version
-raises :class:`~repro.errors.PersistenceError` instead of silently
-misreading.
+Every durable knowledge payload is a plain JSON-compatible dict tagged
+with its type under ``"t"``; :func:`encode` and :func:`decode` dispatch
+on that tag, so a WAL entry or snapshot is readable without knowing in
+advance what it holds.  :data:`FORMAT_VERSION` stamps the container
+files (WAL header, snapshot envelope) and is checked on load — any other
+version, older or newer, raises :class:`~repro.errors.PersistenceError`
+instead of silently misreading.  Version 2 added the phase-one payload
+(:func:`encode_phase_one`): a retained window's cleaning and annotation
+output rides beside its raw record batch, so recovery decodes it instead
+of re-running clean + annotate.
 
 The round-trip guarantee is **bit-for-bit**, not merely value-equal:
 
@@ -33,13 +36,17 @@ from __future__ import annotations
 
 from typing import Any
 
+from ..core.annotation import AnnotationResult, Snippet, SnippetKind
+from ..core.cleaning import CleaningReport, CleaningResult
 from ..core.complementing.knowledge import (
     ExactSum,
     MobilityKnowledge,
     PartialKnowledge,
     RegionStats,
 )
-from ..errors import PersistenceError
+from ..core.semantics import MobilitySemantic, MobilitySemanticsSequence
+from ..errors import PersistenceError, TripsError
+from ..geometry import Point
 from ..knowledge.retention import (
     ExponentialDecay,
     RetentionPolicy,
@@ -47,11 +54,26 @@ from ..knowledge.retention import (
     Unbounded,
 )
 from ..knowledge.store import Epoch, KnowledgeStore
-from ..positioning import RawPositioningRecord
+from ..positioning import PositioningSequence, RawPositioningRecord
+from ..timeutil import TimeRange
 
 #: Version of the wire format; stamped into WAL headers and snapshot
 #: envelopes, checked on load.
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+
+
+def require_fields(
+    body: object, where: str, *names: str, **kinds: type
+) -> None:
+    """Raise :class:`~repro.errors.PersistenceError` naming ``where`` and
+    the field unless ``body`` holds every field of ``names`` (any value)
+    and of ``kinds`` (an instance of its type) — not a later bare
+    ``KeyError`` / ``TypeError`` mid-recovery."""
+    if not isinstance(body, dict):
+        raise PersistenceError(f"{where} is not a JSON object")
+    for name, kind in (*((name, object) for name in names), *kinds.items()):
+        if name not in body or not isinstance(body[name], kind):
+            raise PersistenceError(f"{where} has no valid {name!r} field")
 
 
 # ----------------------------------------------------------------------
@@ -295,7 +317,9 @@ def decode(payload: dict) -> Any:
 
 # ----------------------------------------------------------------------
 # Raw record batches (compact row form; journaled only when the service
-# retains per-window results for finalize())
+# retains per-window results for finalize(), together with the batch's
+# phase-one payload below — the rows are what the payload's sequences
+# are grouped from)
 # ----------------------------------------------------------------------
 def encode_records(records: "list[RawPositioningRecord]") -> list:
     """Encode a window's raw records as compact rows."""
@@ -313,8 +337,6 @@ def encode_records(records: "list[RawPositioningRecord]") -> list:
 
 def decode_records(rows: list) -> "list[RawPositioningRecord]":
     """Rebuild a window's raw records from :func:`encode_records` rows."""
-    from ..geometry import Point
-
     try:
         return [
             RawPositioningRecord(
@@ -326,3 +348,182 @@ def decode_records(rows: list) -> "list[RawPositioningRecord]":
         ]
     except (TypeError, ValueError) as exc:
         raise PersistenceError(f"malformed record rows: {exc}") from exc
+
+
+# ----------------------------------------------------------------------
+# Phase-one output: one window's (cleaning, annotation) pairs, decoded
+# against the window's raw sequences so recovery never re-runs phase one
+# ----------------------------------------------------------------------
+#: Fields of one sequence's phase-one entry, checked on decode.
+_PHASE_ONE_FIELDS = {
+    "report": list, "length": int, "changed": list, "semantics": list,
+    "snippets": list, "skipped": int,
+}
+
+
+def _index_runs(indexes: "tuple[int, ...]") -> list:
+    """``record_indexes`` as flat ``[start, end)`` run bounds."""
+    runs: list = []
+    for index in indexes:
+        if runs and runs[-1] == index:
+            runs[-1] = index + 1
+        else:
+            runs += [index, index + 1]
+    return runs
+
+
+def _encode_phase_one_pair(
+    cleaning: CleaningResult, annotation: AnnotationResult
+) -> dict:
+    raw = cleaning.raw.records
+    cleaned = cleaning.cleaned.records
+    report = cleaning.report
+    # Cleaning keeps the length, so only repaired records differ from
+    # their raw counterparts; if the lengths differ anyway, every row.
+    whole = len(cleaned) != len(raw)
+    return {
+        "report": [
+            report.total_records, report.invalid_indexes,
+            report.floor_corrected, report.interpolated, report.unrepaired,
+        ],
+        "length": len(cleaned),
+        "changed": [
+            [index, record.timestamp, record.location.x, record.location.y,
+             record.location.floor]
+            for index, record in enumerate(cleaned)
+            if whole or (record is not raw[index] and record != raw[index])
+        ],
+        "semantics": [
+            [
+                semantic.event, semantic.region_id, semantic.region_name,
+                semantic.time_range.start, semantic.time_range.end,
+                semantic.confidence, semantic.inferred,
+                _index_runs(semantic.record_indexes),
+            ]
+            for semantic in annotation.sequence
+        ],
+        # A snippet's records are the cleaned slice [start, end), by
+        # construction of the splitter.
+        "snippets": [
+            [snippet.kind.value, snippet.start, snippet.end]
+            for snippet in annotation.snippets
+        ],
+        "skipped": annotation.skipped_snippets,
+    }
+
+
+def encode_phase_one(
+    pairs: "list[tuple[CleaningResult, AnnotationResult]]",
+) -> list:
+    """Encode one window's phase-one output, one entry per sequence.
+
+    Per sequence: the cleaning report's five fields, the cleaned length
+    plus only the cleaned records that differ from the raw ones, every
+    :class:`~repro.core.semantics.MobilitySemantic` field (floats by
+    ``repr`` through JSON, ``record_indexes`` as ``[start, end)`` runs)
+    and each snippet as ``(kind, start, end)``.  The raw records are not
+    repeated: :func:`decode_phase_one` takes the window's sequences.
+    """
+    return [
+        _encode_phase_one_pair(cleaning, annotation)
+        for cleaning, annotation in pairs
+    ]
+
+
+def _decode_phase_one_pair(
+    entry: dict, raw: PositioningSequence
+) -> "tuple[CleaningResult, AnnotationResult]":
+    total, invalid, floor_corrected, interpolated, unrepaired = entry["report"]
+    report = CleaningReport(
+        total_records=total,
+        invalid_indexes=list(invalid),
+        floor_corrected=list(floor_corrected),
+        interpolated=list(interpolated),
+        unrepaired=list(unrepaired),
+    )
+    length = entry["length"]
+    changed = entry["changed"]
+    device_id = raw.device_id
+    if length == len(raw) and not changed:
+        cleaned = raw
+    else:
+        records: list = (
+            list(raw.records) if length == len(raw) else [None] * length
+        )
+        for index, timestamp, x, y, floor in changed:
+            records[index] = RawPositioningRecord(
+                timestamp, device_id, Point(x, y, floor=floor)
+            )
+        if any(record is None for record in records):
+            raise ValueError(
+                f"{length} cleaned records for {len(raw)} raw ones, but "
+                "not every row was written"
+            )
+        cleaned = raw.with_records(records)
+    semantics = [
+        MobilitySemantic(
+            event=event,
+            region_id=region_id,
+            region_name=region_name,
+            time_range=TimeRange(start, end),
+            confidence=confidence,
+            inferred=inferred,
+            record_indexes=tuple(
+                index
+                for bound in range(0, len(runs), 2)
+                for index in range(runs[bound], runs[bound + 1])
+            ),
+        )
+        for (
+            event, region_id, region_name, start, end, confidence, inferred,
+            runs,
+        ) in entry["semantics"]
+    ]
+    snippets = [
+        Snippet(
+            SnippetKind(kind), start, end, cleaned.records[start:end]
+        )
+        for kind, start, end in entry["snippets"]
+    ]
+    return (
+        CleaningResult(raw, cleaned, report),
+        AnnotationResult(
+            MobilitySemanticsSequence(device_id, semantics),
+            snippets,
+            entry["skipped"],
+        ),
+    )
+
+
+def decode_phase_one(
+    payload: object,
+    sequences: "list[PositioningSequence]",
+    where: str = "phase-one payload",
+) -> "list[tuple[CleaningResult, AnnotationResult]]":
+    """Rebuild the ``(cleaning, annotation)`` pairs :func:`encode_phase_one`
+    encoded, against the window's raw ``sequences`` (its record batch
+    grouped per device), equal to the originals pair for pair.
+
+    ``where`` names the file and entry the payload came from: a payload
+    whose sequence count differs from ``sequences``, or any missing or
+    malformed field, raises :class:`~repro.errors.PersistenceError`
+    naming it — nothing is silently truncated.
+    """
+    if not isinstance(payload, list):
+        raise PersistenceError(f"{where} has no valid 'phase_one' field")
+    if len(payload) != len(sequences):
+        raise PersistenceError(
+            f"{where} field 'phase_one' holds {len(payload)} sequences, "
+            f"but its batch groups into {len(sequences)} devices"
+        )
+    pairs = []
+    for index, (entry, raw) in enumerate(zip(payload, sequences)):
+        entry_where = f"{where} phase_one[{index}]"
+        require_fields(entry, entry_where, **_PHASE_ONE_FIELDS)
+        try:
+            pairs.append(_decode_phase_one_pair(entry, raw))
+        except (IndexError, TypeError, ValueError, TripsError) as exc:
+            raise PersistenceError(
+                f"{entry_where} is malformed: {exc}"
+            ) from exc
+    return pairs

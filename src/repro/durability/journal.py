@@ -9,7 +9,8 @@ One journal owns one state directory::
 The protocol, in the order the live service drives it once per window:
 
 1. :meth:`append_window` appends the window's entry (per-venue deltas,
-   roll/retire markers, optionally the raw record batch) and flushes.
+   roll/retire markers and, when the service retains results, the raw
+   record batch with its encoded phase-one output) and flushes.
 2. When the snapshot cadence is due, :meth:`write_snapshot` writes the
    full state to ``snapshot.json.tmp``, fsyncs, renames over
    ``snapshot.json`` (atomic on POSIX), then resets the WAL back to its
@@ -66,7 +67,8 @@ def read_state_file(path: Path, magic: str) -> "dict | None":
 
     State files are published by atomic rename, so a torn one means the
     directory was damaged, not that a crash raced the writer: unparsable
-    bytes, a foreign magic or another format version all raise
+    bytes, a foreign magic or another format version (a version-1 file
+    included: it carries no phase-one output) all raise
     :class:`~repro.errors.PersistenceError`.
     """
     if not path.exists():
@@ -83,20 +85,6 @@ def read_state_file(path: Path, magic: str) -> "dict | None":
             f"build reads version {FORMAT_VERSION}"
         )
     return payload
-
-
-def require_fields(
-    body: object, where: str, *names: str, **kinds: type
-) -> None:
-    """Raise :class:`~repro.errors.PersistenceError` naming ``where`` and
-    the field unless ``body`` holds every field of ``names`` (any value)
-    and of ``kinds`` (an instance of its type) — not a later bare
-    ``KeyError`` / ``TypeError`` mid-recovery."""
-    if not isinstance(body, dict):
-        raise PersistenceError(f"{where} is not a JSON object")
-    for name, kind in (*((name, object) for name in names), *kinds.items()):
-        if name not in body or not isinstance(body[name], kind):
-            raise PersistenceError(f"{where} has no valid {name!r} field")
 
 
 class DurableStateJournal:

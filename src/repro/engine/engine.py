@@ -63,7 +63,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from functools import partial as _bind
 from typing import ClassVar, Iterable, Iterator, Mapping
 
 from ..columnar import run_phase_one_chunk_columnar
@@ -107,20 +106,18 @@ DEFAULT_CONTEXT_KEY = "default"
 def _phase_one_task(
     venues: Mapping[str, Translator],
     payload: tuple[str, list[PositioningSequence]],
-    emit_partial: bool,
 ) -> PhaseOneChunk:
     """Phase-one worker task: resolve the venue translator, run the chunk.
 
     The context is a venue map so one pool can serve several translators;
     a stand-alone engine opens the map with a single entry.  The chunk
-    runs on the columnar kernels and, unless the caller wants phase one
-    alone (:meth:`Engine.phase_one`), aggregates its knowledge shard for
+    runs on the columnar kernels and aggregates its knowledge shard for
     the barrier to merge.
     """
     key, chunk = payload
     started = time.perf_counter()
     result = run_phase_one_chunk_columnar(
-        venues[key], chunk, emit_partial=emit_partial
+        venues[key], chunk, emit_partial=True
     )
     # Worker-side timing rides home on the chunk itself: with the
     # ``processes`` backend there is no shared registry, so the float on
@@ -322,33 +319,6 @@ class Engine:
             retention=retention,
         )
 
-    def phase_one(
-        self, sequences: Iterable[PositioningSequence]
-    ) -> list:
-        """Run clean + annotate alone, fanned out over the pool.
-
-        Returns the per-sequence ``(cleaning, annotation)`` pairs in
-        input order, with no knowledge build and no complementing —
-        phase one is deterministic per sequence, which is what makes
-        this the durable-state recovery path: replaying journaled
-        record batches through it rebuilds exactly the phase-one output
-        the crashed run computed, ready for a ``finalize()``-style
-        re-complement against the recovered knowledge.
-        """
-        backend, owns = self._backend()
-        if owns:
-            backend.open({self.context_key: self.translator})
-        try:
-            _, pairs, _ = self._map_phase_one(
-                backend,
-                partition(list(sequences), self.config.chunk_size),
-                emit_partial=False,
-            )
-            return pairs
-        finally:
-            if owns:
-                backend.close()
-
     def complement(
         self,
         annotated: list[MobilitySemanticsSequence],
@@ -426,7 +396,6 @@ class Engine:
         self,
         backend: ExecutionBackend,
         chunks: Iterator[list[PositioningSequence]],
-        emit_partial: bool,
     ) -> tuple[list[list[PositioningSequence]], list, list[PartialKnowledge]]:
         """Fan phase one out; returns (consumed chunks, pairs, partials).
 
@@ -442,8 +411,7 @@ class Engine:
                 consumed.append(chunk)
                 yield (key, chunk)
 
-        fn = _bind(_phase_one_task, emit_partial=emit_partial)
-        phase_one_chunks = list(backend.map(fn, payloads()))
+        phase_one_chunks = list(backend.map(_phase_one_task, payloads()))
         registry = get_registry()
         if registry.enabled and phase_one_chunks:
             # The workers' ride-along chunk timings.
@@ -498,7 +466,7 @@ class Engine:
             backend.open({self.context_key: self.translator})
         try:
             consumed, phase_one, partials = self._map_phase_one(
-                backend, chunks, emit_partial=True
+                backend, chunks
             )
             phase_one_done = time.perf_counter()
 

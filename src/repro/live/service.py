@@ -75,8 +75,10 @@ from ..telemetry import get_registry
 from ..durability import (
     DurableStateJournal,
     decode,
+    decode_phase_one,
     decode_records,
     encode,
+    encode_phase_one,
     encode_records,
     encode_retention,
     require_fields,
@@ -303,10 +305,11 @@ class _VenueState:
     #: EWMA of observed records/sec (adaptive windowing).
     ewma_rate: float | None = None
     results: list[TranslationResult] = field(default_factory=list)
-    #: Raw per-window record batches, kept only when journaling with
-    #: ``retain_results`` — recovery rebuilds :attr:`results` from them
-    #: by re-running deterministic phase one.
-    batches: "list[list[RawPositioningRecord]]" = field(default_factory=list)
+    #: Per retained window, the encoded ``(record rows, phase-one
+    #: payload)`` its WAL entry carried, kept only when journaling with
+    #: ``retain_results``: every snapshot re-writes them as they are,
+    #: and recovery decodes :attr:`results` from them.
+    journaled: "list[tuple[list, list]]" = field(default_factory=list)
     stats: VenueStats = None  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
@@ -386,7 +389,9 @@ class LiveTranslationService:
 
         The backend context is the full venue map, shipped to each
         worker exactly once; every venue's engine then maps its phases
-        onto the same warm pool under its own context key.
+        onto the same warm pool under its own context key.  When
+        recovery refuses the state directory, the pool and the journal
+        are closed again before the error propagates.
         """
         if self._backend is not None:
             return self
@@ -405,7 +410,9 @@ class LiveTranslationService:
             if venue_id not in self._states:
                 self._states[venue_id] = _VenueState(venue_id, engine)
             self._states[venue_id].engine = engine
-        if self._journal is not None:
+        if self._journal is None:
+            return self
+        try:
             if not self._recovered:
                 self._journal.open()
                 self._recover()
@@ -415,6 +422,9 @@ class LiveTranslationService:
                 # windows this instance already holds in memory, so the
                 # replay list is discarded, and appending continues.
                 self._journal.open()
+        except BaseException:
+            self.close()
+            raise
         return self
 
     def close(self) -> None:
@@ -506,8 +516,6 @@ class LiveTranslationService:
                     ).set(state.store.knowledge.sequences_seen)
             self._observe_rate(state, venue_records)
             if self._journal is not None:
-                if self.live_config.retain_results:
-                    state.batches.append(venue_records)
                 journal_venues.append(
                     self._journal_venue_entry(
                         state, venue_records, batch, retired, venue_elapsed
@@ -573,11 +581,19 @@ class LiveTranslationService:
         shard this window folded — plus its data-time span and the
         indices of the epochs retention retired, so replay can validate
         that re-rolling retires exactly what the live run did.  With
-        ``retain_results`` the raw record batch rides along, because
-        recovery rebuilds the retained results by re-running
-        deterministic phase one over it.
+        ``retain_results`` the raw record batch and its encoded phase-one
+        output ride along, encoded once here: recovery decodes the
+        retained results from them, and later snapshots re-write the
+        same payloads.
         """
         closed = state.store.last_epoch if state.store is not None else None
+        rows = phase_one = None
+        if self.live_config.retain_results:
+            rows = encode_records(venue_records)
+            phase_one = encode_phase_one(
+                [(result.cleaning, result.annotation) for result in batch]
+            )
+            state.journaled.append((rows, phase_one))
         return {
             "venue": state.venue_id,
             "records": len(venue_records),
@@ -588,11 +604,8 @@ class LiveTranslationService:
             "start": None if closed is None else closed.start,
             "end": None if closed is None else closed.end,
             "retired": [epoch.index for epoch in retired],
-            "batch": (
-                encode_records(venue_records)
-                if self.live_config.retain_results
-                else None
-            ),
+            "batch": rows,
+            "phase_one": phase_one,
         }
 
     def checkpoint(self) -> None:
@@ -606,6 +619,7 @@ class LiveTranslationService:
         """
         if self._journal is None:
             return
+        retain = self.live_config.retain_results
         venues: dict[str, dict] = {}
         for vid, state in self._states.items():
             venues[vid] = {
@@ -619,8 +633,11 @@ class LiveTranslationService:
                 },
                 "ewma": state.ewma_rate,
                 "batches": (
-                    [encode_records(batch) for batch in state.batches]
-                    if self.live_config.retain_results
+                    [rows for rows, _ in state.journaled] if retain else None
+                ),
+                "phase_one": (
+                    [payload for _, payload in state.journaled]
+                    if retain
                     else None
                 ),
             }
@@ -643,8 +660,9 @@ class LiveTranslationService:
         is deterministic, and the retired epoch indices must match what
         the entry logged, or the log has diverged from the code and
         recovery raises instead of resuming silently wrong.  Retained
-        results are rebuilt afterwards by re-running phase one over the
-        journaled record batches against the warm pool.
+        results are decoded from each window's journaled phase-one
+        payload as the snapshot and the entries are read: recovery is
+        decode + fold, and no engine runs.
         """
         snapshot, entries = self._journal.load()
         if snapshot is not None:
@@ -658,14 +676,16 @@ class LiveTranslationService:
                 len(entries)
             )
             registry.counter("trips_recoveries_total").inc()
-        if self.live_config.retain_results:
-            for state in self._states.values():
-                for records in state.batches:
-                    sequences = PositioningSequence.group_records(records)
-                    pairs = state.engine.phase_one(sequences)
-                    state.results.extend(
-                        assemble_results(sequences, pairs, None)
-                    )
+
+    def _restore_results(
+        self, state: _VenueState, rows: list, phase_one: object, where: str
+    ) -> None:
+        """Decode one retained window's results from its journaled rows
+        and phase-one payload (``where`` names the file and entry)."""
+        sequences = PositioningSequence.group_records(decode_records(rows))
+        pairs = decode_phase_one(phase_one, sequences, where)
+        state.results.extend(assemble_results(sequences, pairs, None))
+        state.journaled.append((rows, phase_one))
 
     def _restore_snapshot(self, snapshot: dict) -> None:
         where = f"snapshot {self._journal.snapshot_path}"
@@ -682,13 +702,15 @@ class LiveTranslationService:
                     f"snapshot names venue {vid!r}, which this service "
                     "does not serve"
                 )
+            venue_where = f"{where} venue {vid!r}"
             require_fields(
-                payload, f"{where} venue {vid!r}",
-                "store", "store_checked", "ewma", "batches", stats=dict,
+                payload, venue_where,
+                "store", "store_checked", "ewma", "batches", "phase_one",
+                stats=dict,
             )
             counters = payload["stats"]
             require_fields(
-                counters, f"{where} venue {vid!r} stats", *_JOURNALED_STATS
+                counters, f"{venue_where} stats", *_JOURNALED_STATS
             )
             if payload["store"] is not None:
                 store = decode(payload["store"])
@@ -704,10 +726,22 @@ class LiveTranslationService:
             )
             stats.window_records_target = counters["window_records_target"]
             state.ewma_rate = payload["ewma"]
-            if self.live_config.retain_results and payload["batches"]:
-                state.batches = [
-                    decode_records(rows) for rows in payload["batches"]
-                ]
+            batches = payload["batches"]
+            if self.live_config.retain_results and batches:
+                phase_one = payload["phase_one"]
+                if not isinstance(phase_one, list) or len(phase_one) != len(
+                    batches
+                ):
+                    raise PersistenceError(
+                        f"{venue_where} has no valid 'phase_one' field "
+                        f"for its {len(batches)} batches"
+                    )
+                for index, (rows, encoded) in enumerate(
+                    zip(batches, phase_one)
+                ):
+                    self._restore_results(
+                        state, rows, encoded, f"{venue_where} batch {index}"
+                    )
 
     def _check_restored_retention(self, vid: str, store: KnowledgeStore):
         """A restored store must run the policy this service configures.
@@ -740,7 +774,7 @@ class LiveTranslationService:
             require_fields(
                 payload, f"{where} venue entry", "records", "sequences",
                 "semantics", "seconds", "delta", "start", "end", "batch",
-                venue=str, retired=list,
+                "phase_one", venue=str, retired=list,
             )
             vid = payload["venue"]
             state = self._states.get(vid)
@@ -777,7 +811,10 @@ class LiveTranslationService:
                 self.live_config.retain_results
                 and payload["batch"] is not None
             ):
-                state.batches.append(decode_records(payload["batch"]))
+                self._restore_results(
+                    state, payload["batch"], payload["phase_one"],
+                    f"{where} venue {vid!r}",
+                )
         self._windows += 1
         self._translate_seconds += sum(
             payload["seconds"] for payload in entry["venues"]

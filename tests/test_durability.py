@@ -5,9 +5,10 @@ recovered from its state directory (snapshot + WAL tail) finishes the
 feed to a ``finalize()`` bit-for-bit equal to an uninterrupted run —
 under every retention policy, and for every shard of a sharded cluster.
 That only holds if every layer below is exact, so the suite works
-upward: codec round-trips (ExactSum expansions restored verbatim), WAL
-torn-tail/corruption semantics, snapshot filtering, then the recovery
-property itself.
+upward: codec round-trips (ExactSum expansions restored verbatim, and
+phase-one output on dirty feeds), WAL torn-tail/corruption semantics,
+snapshot filtering, then the recovery property itself — which never
+re-runs phase one.
 """
 
 from __future__ import annotations
@@ -18,7 +19,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core import Translator
+import repro.engine.engine as engine_module
+from repro.core import Translator, TranslatorConfig
+from repro.core.cleaning import CleaningConfig, CleaningReport, CleaningResult
 from repro.core.complementing import (
     ExactSum,
     MobilityKnowledge,
@@ -31,14 +34,17 @@ from repro.durability import (
     DurableStateJournal,
     WriteAheadLog,
     decode,
+    decode_phase_one,
     decode_records,
     decode_retention,
     encode,
+    encode_phase_one,
     encode_records,
     encode_retention,
 )
-from repro.engine import EngineConfig
+from repro.engine import Engine, EngineConfig
 from repro.errors import PersistenceError
+from repro.geometry import Point
 from repro.knowledge import (
     ExponentialDecay,
     KnowledgeStore,
@@ -46,9 +52,16 @@ from repro.knowledge import (
     Unbounded,
 )
 from repro.live import LiveConfig, LiveTranslationService
-from repro.positioning import RecordStream, windowed_records
+from repro.positioning import (
+    PositioningSequence,
+    RawPositioningRecord,
+    RecordStream,
+    inject_floor_errors,
+    inject_outliers,
+    windowed_records,
+)
 
-from .conftest import make_two_shop_dsm
+from .conftest import make_two_shop_dsm, walk_sequence
 from .test_knowledge_store import (
     REGIONS,
     annotated_sequences,
@@ -64,7 +77,7 @@ finite_floats = st.floats(
 )
 
 
-def json_round_trip(payload: dict) -> dict:
+def json_round_trip(payload):
     """Push a codec payload through the actual wire representation."""
     return json.loads(json.dumps(payload, separators=(",", ":")))
 
@@ -75,6 +88,54 @@ def store_state(store: KnowledgeStore) -> dict:
     state = encode(store)
     state.pop("track_deltas")
     return state
+
+
+def dirty_shop_records(
+    prefix: str = "",
+    seed: int = 0,
+    outliers: float = 0.12,
+    floor_errors: float = 0.1,
+    leading: bool = True,
+    singletons: int = 4,
+):
+    """The shop feed made dirty: teleport outliers (interpolated),
+    wrong-floor fixes (floor-corrected), a leading outlier on every other
+    device (record 0 repaired) and ``singletons`` one-record devices."""
+    records = []
+    for index, sequence in enumerate(
+        PositioningSequence.group_records(shop_records(prefix))
+    ):
+        if outliers:
+            sequence, _ = inject_outliers(
+                sequence, outliers, magnitude=30.0, seed=seed + index
+            )
+        if floor_errors:
+            sequence, _ = inject_floor_errors(
+                sequence, floor_errors, [1, 2], seed=seed + index
+            )
+        first = sequence.records[0]
+        if leading and index % 2:
+            first = first.moved(
+                Point(first.location.x + 28.0, first.location.y, first.floor)
+            )
+        records.append(first)
+        records.extend(sequence.records[1:])
+    for index in range(singletons):
+        records.append(
+            RawPositioningRecord(
+                30.0 + 150.0 * index, f"{prefix}blip-{index}",
+                Point(12.0, 5.0, 1),
+            )
+        )
+    return sorted(records, key=lambda r: (r.timestamp, r.device_id))
+
+
+def phase_one_pairs(translator, sequences):
+    """The engine's phase-one output for ``sequences``."""
+    batch = Engine(translator, EngineConfig(chunk_size=2)).translate_batch(
+        sequences
+    )
+    return [(result.cleaning, result.annotation) for result in batch]
 
 
 # ----------------------------------------------------------------------
@@ -226,6 +287,108 @@ class TestCodecRoundTrip:
 
 
 # ----------------------------------------------------------------------
+# Phase-one output: decoded pair for pair, on dirty feeds
+# ----------------------------------------------------------------------
+CLEANING_MODES = {
+    "full": TranslatorConfig(),
+    "floor-only": TranslatorConfig(
+        cleaning=CleaningConfig(enable_interpolation=False)
+    ),
+    "detect-only": TranslatorConfig(
+        cleaning=CleaningConfig(
+            enable_floor_correction=False, enable_interpolation=False
+        )
+    ),
+    "disabled": TranslatorConfig(enable_cleaning=False),
+}
+
+
+class TestPhaseOneCodec:
+    def test_dirty_feed_exercises_every_repair(self):
+        """The dirty feed the recovery property runs on really repairs:
+        floor corrections, interpolations, a leading outlier and
+        singleton sequences all reach the codec, so its cleaned-record
+        half is proven, not vacuous."""
+        sequences = PositioningSequence.group_records(dirty_shop_records())
+        pairs = phase_one_pairs(Translator(make_two_shop_dsm()), sequences)
+        reports = [cleaning.report for cleaning, _ in pairs]
+        assert sum(len(r.floor_corrected) for r in reports) > 0
+        assert sum(len(r.interpolated) for r in reports) > 0
+        assert any(0 in r.interpolated for r in reports)  # leading outlier
+        assert sum(len(sequence) == 1 for sequence in sequences) == 4
+        payload = encode_phase_one(pairs)
+        assert sum(len(entry["changed"]) for entry in payload) == sum(
+            r.repaired_count for r in reports
+        )
+
+    @settings(max_examples=25, deadline=None)
+    @example(
+        seed=0, outliers=0.12, floor_errors=0.1, leading=True, singletons=4,
+        mode="full",
+    )
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        outliers=st.sampled_from([0.0, 0.1, 0.3]),
+        floor_errors=st.sampled_from([0.0, 0.1, 0.3]),
+        leading=st.booleans(),
+        singletons=st.integers(min_value=0, max_value=3),
+        mode=st.sampled_from(sorted(CLEANING_MODES)),
+    )
+    def test_phase_one_round_trips_on_dirty_feeds(
+        self, seed, outliers, floor_errors, leading, singletons, mode
+    ):
+        """encode → JSON → decode against the batch's own record rows
+        (exactly what recovery reads) reproduces every (cleaning,
+        annotation) pair: reports, repaired records, semantics with
+        their record indexes, snippets."""
+        records = dirty_shop_records(
+            "east:", seed, outliers, floor_errors, leading, singletons
+        )
+        translator = Translator(
+            make_two_shop_dsm(), config=CLEANING_MODES[mode]
+        )
+        pairs = phase_one_pairs(
+            translator, PositioningSequence.group_records(records)
+        )
+        rows = json_round_trip(encode_records(records))
+        sequences = PositioningSequence.group_records(decode_records(rows))
+        payload = json_round_trip(encode_phase_one(pairs))
+        assert decode_phase_one(payload, sequences) == pairs
+
+    def test_cleaned_length_change_writes_every_row(self):
+        """Cleaning keeps the length; should a cleaned sequence differ in
+        length anyway, every row is written and decoded."""
+        raw = walk_sequence()
+        cleaned = raw.with_records(list(raw.records[:-1]))
+        pair = (
+            CleaningResult(raw, cleaned, CleaningReport(len(raw))),
+            Translator(make_two_shop_dsm()).annotator.annotate(cleaned),
+        )
+        (entry,) = encode_phase_one([pair])
+        assert len(entry["changed"]) == len(cleaned)
+        assert decode_phase_one(json_round_trip([entry]), [raw]) == [pair]
+
+    def test_malformed_phase_one_is_refused(self):
+        sequences = PositioningSequence.group_records(dirty_shop_records())
+        pairs = phase_one_pairs(Translator(make_two_shop_dsm()), sequences)
+        payload = encode_phase_one(pairs)
+        with pytest.raises(PersistenceError, match="'phase_one'"):
+            decode_phase_one(payload[:-1], sequences, "WAL w.jsonl")
+        with pytest.raises(PersistenceError, match="'phase_one'"):
+            decode_phase_one(None, sequences, "WAL w.jsonl")
+        for field in ("report", "length", "changed", "semantics",
+                      "snippets", "skipped"):
+            broken = json_round_trip(payload)
+            del broken[0][field]
+            with pytest.raises(PersistenceError, match=repr(field)):
+                decode_phase_one(broken, sequences, "WAL w.jsonl")
+        broken = json_round_trip(payload)
+        broken[0]["snippets"][0][2] += 10_000  # past the cleaned records
+        with pytest.raises(PersistenceError, match="WAL w.jsonl"):
+            decode_phase_one(broken, sequences, "WAL w.jsonl")
+
+
+# ----------------------------------------------------------------------
 # The write-ahead log
 # ----------------------------------------------------------------------
 class TestWriteAheadLog:
@@ -289,14 +452,13 @@ class TestWriteAheadLog:
         path.write_bytes(b'{"magic":"other-log","version":1}\n')
         with pytest.raises(PersistenceError):
             WriteAheadLog(path).open()
-        path.write_bytes(
-            json.dumps(
-                {"magic": WAL_MAGIC, "version": FORMAT_VERSION + 1}
-            ).encode()
-            + b"\n"
-        )
-        with pytest.raises(PersistenceError):
-            WriteAheadLog(path).open()
+        for skew in (FORMAT_VERSION + 1, FORMAT_VERSION - 1):
+            path.write_bytes(
+                json.dumps({"magic": WAL_MAGIC, "version": skew}).encode()
+                + b"\n"
+            )
+            with pytest.raises(PersistenceError):
+                WriteAheadLog(path).open()
 
     def test_torn_header_restarts_the_file(self, tmp_path):
         path = tmp_path / "wal.jsonl"
@@ -406,6 +568,34 @@ class TestJournal:
         with pytest.raises(PersistenceError):
             journal.load()
 
+    @pytest.mark.parametrize("skew", [-1, 1], ids=["older", "newer"])
+    @pytest.mark.parametrize("journal_file", ["wal.jsonl", "snapshot.json"])
+    def test_other_format_version_is_refused_by_name(
+        self, tmp_path, journal_file, skew
+    ):
+        """A version-1 state directory (no phase-one output) or a newer
+        one is refused, naming the file and both versions — never
+        re-run through phase one or misread."""
+        state = tmp_path / "state"
+        state.mkdir()
+        version = FORMAT_VERSION + skew
+        header = {"version": version, "windows": 0}
+        header["magic"] = (
+            WAL_MAGIC if journal_file == "wal.jsonl" else SNAPSHOT_MAGIC
+        )
+        (state / journal_file).write_bytes(
+            json.dumps(header).encode() + b"\n"
+        )
+        journal = DurableStateJournal(state)
+        with pytest.raises(PersistenceError) as refused:
+            journal.open()
+            journal.load()
+        journal.close()
+        message = str(refused.value)
+        assert journal_file in message
+        assert f"version {version}" in message
+        assert f"version {FORMAT_VERSION}" in message
+
 
 # ----------------------------------------------------------------------
 # Crash recovery: the tentpole property
@@ -413,12 +603,15 @@ class TestJournal:
 RETENTIONS = ["unbounded", "window:2", "decay:3"]
 
 
-def feed_windows():
-    return list(
-        windowed_records(
-            RecordStream(iter(shop_records("east:"))), WINDOW_SECONDS
-        )
+def feed_windows(feed: str = "clean"):
+    records = (
+        shop_records("east:") if feed == "clean"
+        else dirty_shop_records("east:")
     )
+    return list(windowed_records(RecordStream(iter(records)), WINDOW_SECONDS))
+
+
+FEEDS = ["clean", "dirty"]
 
 
 def make_service(retention, state_dir=None, snapshot_interval=3):
@@ -434,26 +627,43 @@ def make_service(retention, state_dir=None, snapshot_interval=3):
     )
 
 
+def make_cluster(state_dir=None, shards=2, exchange_interval=2):
+    from repro.distributed import ShardedIngestService
+
+    return ShardedIngestService(
+        {"east": Translator(make_two_shop_dsm())},
+        shards=shards,
+        engine_config=EngineConfig(chunk_size=2),
+        live_config=LiveConfig(
+            window_seconds=WINDOW_SECONDS, snapshot_interval=3
+        ),
+        exchange_interval=exchange_interval,
+        state_dir=state_dir,
+    )
+
+
 @pytest.fixture(scope="module")
 def uninterrupted():
-    """Reference run per retention: stats, knowledge and finalize()."""
+    """Reference run per ``(feed, retention)``: stats, knowledge and
+    finalize()."""
     runs = {}
-    for retention in RETENTIONS:
-        service = make_service(retention)
-        with service:
-            for window in feed_windows():
-                service.process_window(window, "east")
-            finalized = service.finalize()
-            store = service.store("east")
-            runs[retention] = {
-                "windows": service.stats.windows,
-                "records": service.stats.records,
-                "semantics": service.stats.semantics,
-                "partial": store.to_partial(),
-                "state": store_state(store),
-                "results": finalized["east"].results,
-                "knowledge": finalized["east"].knowledge,
-            }
+    for feed in FEEDS:
+        for retention in RETENTIONS:
+            service = make_service(retention)
+            with service:
+                for window in feed_windows(feed):
+                    service.process_window(window, "east")
+                finalized = service.finalize()
+                store = service.store("east")
+                runs[feed, retention] = {
+                    "windows": service.stats.windows,
+                    "records": service.stats.records,
+                    "semantics": service.stats.semantics,
+                    "partial": store.to_partial(),
+                    "state": store_state(store),
+                    "results": finalized["east"].results,
+                    "knowledge": finalized["east"].knowledge,
+                }
     return runs
 
 
@@ -465,21 +675,30 @@ class TestCrashRecovery:
         kill_at=len(feed_windows()),
         retention="window:2",
         snapshot_interval=len(feed_windows()) + 1,
+        feed="clean",
     )
+    # Pinned: a dirty feed killed with three repaired windows in the
+    # snapshot and one in the WAL tail, both decoded, never re-cleaned.
+    @example(kill_at=4, retention="decay:3", snapshot_interval=3, feed="dirty")
     @given(
-        kill_at=st.integers(min_value=0, max_value=len(feed_windows())),
+        kill_at=st.integers(
+            min_value=0, max_value=max(len(feed_windows(f)) for f in FEEDS)
+        ),
         retention=st.sampled_from(RETENTIONS),
         snapshot_interval=st.integers(min_value=1, max_value=5),
+        feed=st.sampled_from(FEEDS),
     )
     def test_kill_at_any_window_boundary_recovers_exactly(
         self, tmp_path_factory, uninterrupted, kill_at, retention,
-        snapshot_interval,
+        snapshot_interval, feed,
     ):
-        """Kill after any number of windows, under any retention and
-        any checkpoint cadence: the recovered service finishes the feed
-        to a bit-for-bit identical finalize()."""
+        """Kill after any number of windows, under any retention, any
+        checkpoint cadence, on a clean or a dirty feed: the recovered
+        service finishes the feed to a bit-for-bit identical
+        finalize()."""
         state_dir = tmp_path_factory.mktemp("crash")
-        windows = feed_windows()
+        windows = feed_windows(feed)
+        kill_at = min(kill_at, len(windows))
         crashed = make_service(
             retention, state_dir, snapshot_interval=snapshot_interval
         )
@@ -497,7 +716,7 @@ class TestCrashRecovery:
             assert recovered.stats.windows == kill_at
             for window in windows[kill_at:]:
                 recovered.process_window(window, "east")
-            reference = uninterrupted[retention]
+            reference = uninterrupted[feed, retention]
             assert recovered.stats.windows == reference["windows"]
             assert recovered.stats.records == reference["records"]
             assert recovered.stats.semantics == reference["semantics"]
@@ -529,7 +748,7 @@ class TestCrashRecovery:
             assert third.stats.windows == 4
             for window in windows[4:]:
                 third.process_window(window, "east")
-            reference = uninterrupted["window:2"]
+            reference = uninterrupted["clean", "window:2"]
             assert store_state(third.store("east")) == reference["state"]
             assert third.finalize()["east"].results == reference["results"]
 
@@ -547,7 +766,7 @@ class TestCrashRecovery:
             assert service.stats.windows == 5
             for window in windows[5:]:
                 service.process_window(window, "east")
-            reference = uninterrupted["unbounded"]
+            reference = uninterrupted["clean", "unbounded"]
             assert service.finalize()["east"].results == reference["results"]
 
     def test_results_dropped_mode_recovers_without_batches(self, tmp_path):
@@ -586,11 +805,84 @@ class TestCrashRecovery:
                 recovered.process_window(window, "east")
             assert store_state(recovered.store("east")) == reference_state
 
+    def test_recovery_runs_no_phase_one(
+        self, tmp_path, monkeypatch, uninterrupted
+    ):
+        """Recovery is decode + fold: the recovered open() of a live
+        service and of a 2-shard cluster — snapshot plus WAL tail, on a
+        dirty feed — never reaches the phase-one runner, and the decoded
+        results still finish the feed bit for bit."""
+        windows = feed_windows("dirty")
+        live = make_service("unbounded", tmp_path / "live")
+        cluster = make_cluster(tmp_path / "cluster")
+        live.open()
+        cluster.open()
+        for window in windows[:5]:
+            live.process_window(window, "east")
+            cluster.process_window(window, "east")
+        del live, cluster
+
+        chunks = []
+        runner = engine_module.run_phase_one_chunk_columnar
+
+        def watching(translator, chunk, emit_partial=False):
+            chunks.append(chunk)
+            return runner(translator, chunk, emit_partial=emit_partial)
+
+        monkeypatch.setattr(
+            engine_module, "run_phase_one_chunk_columnar", watching
+        )
+        live = make_service("unbounded", tmp_path / "live")
+        cluster = make_cluster(tmp_path / "cluster")
+        with live, cluster:
+            assert chunks == []
+            assert live.stats.windows == cluster.stats.windows == 5
+            assert live.results("east")
+            for window in windows[5:]:
+                live.process_window(window, "east")
+            assert chunks  # the spy does see the live windows' phase one
+            reference = uninterrupted["dirty", "unbounded"]
+            assert live.finalize()["east"].results == reference["results"]
+
+
+def tamper_last_line(path, tamper) -> None:
+    """Rewrite the last JSON line of a journal file through ``tamper``."""
+    lines = path.read_bytes().splitlines(keepends=True)
+    body = json.loads(lines[-1])
+    tamper(body)
+    lines[-1] = json.dumps(body, separators=(",", ":")).encode() + b"\n"
+    path.write_bytes(b"".join(lines))
+
 
 # ----------------------------------------------------------------------
 # Recovery refuses to lie
 # ----------------------------------------------------------------------
 class TestRecoveryValidation:
+    @pytest.mark.parametrize(
+        "refusal", ["tampered-wal", "retention-mismatch"]
+    )
+    def test_refused_open_leaks_nothing(self, tmp_path, refusal):
+        """A refused recovery closes the pool and the WAL handle it
+        opened before the error propagates — ``with service:`` never
+        reaches ``__exit__`` to do it."""
+        state_dir = tmp_path / "state"
+        with make_service("window:2", state_dir) as service:
+            for window in feed_windows()[:5]:
+                service.process_window(window, "east")
+        retention = "window:2"
+        if refusal == "tampered-wal":
+            tamper_last_line(
+                state_dir / "wal.jsonl",
+                lambda body: body["venues"][0].update(retired=[99]),
+            )
+        else:
+            retention = "decay:3"
+        refused = make_service(retention, state_dir)
+        with pytest.raises(PersistenceError):
+            refused.open()
+        assert refused._backend is None
+        assert not refused._journal.is_open
+
     def test_retention_mismatch_is_refused(self, tmp_path):
         state_dir = tmp_path / "state"
         service = make_service("window:2", state_dir)
@@ -656,10 +948,18 @@ class TestRecoveryValidation:
             ("wal.jsonl", "venues", lambda body: body.update(venues=7)),
             ("snapshot.json", "venues", lambda body: body.pop("venues")),
             ("snapshot.json", "elapsed", lambda body: body.pop("elapsed")),
+            ("wal.jsonl", "phase_one",
+             lambda body: body["venues"][0].pop("phase_one")),
+            ("snapshot.json", "phase_one",
+             lambda body: body["venues"]["east"].pop("phase_one")),
+            ("wal.jsonl", "phase_one",
+             lambda body: body["venues"][0]["phase_one"].pop()),
         ],
         ids=[
             "wal-without-venues", "wal-venue-without-delta", "wal-venues-int",
             "snapshot-without-venues", "snapshot-without-elapsed",
+            "wal-venue-without-phase-one", "snapshot-venue-without-phase-one",
+            "wal-phase-one-count-mismatch",
         ],
     )
     def test_malformed_journal_body_is_refused(
@@ -691,19 +991,34 @@ class TestRecoveryValidation:
 # Sharded cluster recovery
 # ----------------------------------------------------------------------
 class TestShardedRecovery:
-    def make_cluster(self, state_dir=None, shards=2, exchange_interval=2):
-        from repro.distributed import ShardedIngestService
+    make_cluster = staticmethod(make_cluster)
 
-        return ShardedIngestService(
-            {"east": Translator(make_two_shop_dsm())},
-            shards=shards,
-            engine_config=EngineConfig(chunk_size=2),
-            live_config=LiveConfig(
-                window_seconds=WINDOW_SECONDS, snapshot_interval=3
-            ),
-            exchange_interval=exchange_interval,
-            state_dir=state_dir,
-        )
+    @pytest.mark.parametrize("refusal", ["shard", "cluster"])
+    def test_refused_open_leaks_nothing(self, tmp_path, refusal):
+        """A refusal by a later shard (after an earlier one opened) or by
+        the cluster's own recovery closes the driver threads and every
+        shard before the error propagates."""
+        state_dir = tmp_path / "cluster"
+        with self.make_cluster(state_dir) as cluster:
+            for window in feed_windows()[:5]:
+                cluster.process_window(window, "east")
+        if refusal == "shard":
+            tamper_last_line(
+                state_dir / "shard-1" / "snapshot.json",
+                lambda body: body.pop("elapsed"),
+            )
+        else:
+            tamper_last_line(
+                state_dir / "cluster.json",
+                lambda body: body.pop("since_exchange"),
+            )
+        refused = self.make_cluster(state_dir)
+        with pytest.raises(PersistenceError):
+            refused.open()
+        assert refused._driver is None
+        for shard in refused.shards:
+            assert shard._backend is None
+            assert not shard._journal.is_open
 
     @pytest.mark.parametrize("kill_at", [0, 3, 6])
     def test_cluster_kill_and_recover_bit_for_bit(self, tmp_path, kill_at):

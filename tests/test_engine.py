@@ -571,7 +571,8 @@ def test_engine_config_validation():
 
 def test_engine_config_surface():
     """The ratchet: four options, and the removed ones stay removed —
-    ``Engine.make_store`` included, which takes no external knowledge."""
+    ``Engine.make_store`` included, which takes no external knowledge,
+    and ``Engine.phase_one``."""
     assert {f.name for f in dataclasses.fields(EngineConfig)} == {
         "backend", "workers", "chunk_size", "retention",
     }
@@ -581,6 +582,9 @@ def test_engine_config_surface():
     assert list(inspect.signature(Engine.make_store).parameters) == [
         "self", "retention",
     ]
+    # Recovery decodes journaled phase-one output; nothing runs phase
+    # one alone any more.
+    assert not hasattr(Engine, "phase_one")
 
 
 def test_create_backend_registry():
