@@ -40,7 +40,7 @@ from .kernels import (
     accumulate_partial,
 )
 from .locate import LocatorSession, PointLocator
-from .pipeline import run_phase_one_chunk_columnar
+from .pipeline import run_phase_one_batch, run_phase_one_chunk_columnar
 
 __all__ = [
     "RecordBatch",
@@ -51,5 +51,6 @@ __all__ = [
     "LocatorSession",
     "PointLocator",
     "accumulate_partial",
+    "run_phase_one_batch",
     "run_phase_one_chunk_columnar",
 ]

@@ -131,6 +131,17 @@ class RecordBatch:
             for i in range(len(self.timestamps))
         ]
 
+    def to_sequences(
+        self, spans: Iterable[tuple[int, int]]
+    ) -> list[PositioningSequence]:
+        """The sequences back from :meth:`from_sequences`' batch and spans,
+        records exact as in :meth:`to_records`."""
+        records = self.to_records()
+        return [
+            PositioningSequence(records[start].device_id, records[start:end])
+            for start, end in spans
+        ]
+
     # ------------------------------------------------------------------
     # Accessors
     # ------------------------------------------------------------------

@@ -8,7 +8,8 @@ engine runs; the object-model runner is the reference it is checked
 against.
 
 Per chunk it columnarizes the sequences into one
-:class:`~repro.columnar.batch.RecordBatch`, bulk-primes a
+:class:`~repro.columnar.batch.RecordBatch` (or takes the one a process
+task shipped, :func:`run_phase_one_batch`), bulk-primes a
 :class:`~repro.columnar.locate.LocatorSession` over the batch (vectorized
 for batches past ``_VECTOR_PRIME_MIN_ROWS``), and runs the
 cleaning/annotation kernels of :mod:`repro.columnar.kernels` against the
@@ -75,6 +76,22 @@ def run_phase_one_chunk_columnar(
     cleaning/annotation results pair for pair, identical knowledge shard.
     """
     batch, _spans = RecordBatch.from_sequences(sequences)
+    return run_phase_one_batch(translator, batch, sequences, emit_partial)
+
+
+def run_phase_one_batch(
+    translator: Translator,
+    batch: RecordBatch,
+    sequences: list[PositioningSequence],
+    emit_partial: bool = False,
+) -> PhaseOneChunk:
+    """:func:`run_phase_one_chunk_columnar` on a chunk already columnarized.
+
+    ``batch`` holds the rows of ``sequences`` in order (what
+    ``RecordBatch.from_sequences(sequences)`` builds): a process worker
+    receives the chunk as that batch and runs it here without
+    re-columnarizing it.
+    """
     session = _locator_for(translator.model).session()
     session.prime(batch)
 

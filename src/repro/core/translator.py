@@ -254,11 +254,13 @@ class PhaseOneChunk:
 
     pairs: list[tuple[CleaningResult, AnnotationResult]]
     partial: PartialKnowledge | None = None
-    #: Worker-side wall time for the chunk (monotonic clock), carried on
-    #: the result so per-chunk telemetry survives the ``processes``
-    #: backend without a shared registry.  Excluded from equality: two
-    #: runs of the same chunk are the *same* phase-one output regardless
-    #: of how long they took.
+    #: Worker-side wall time for the chunk (monotonic clock), measured
+    #: where the chunk ran: workers share no registry, so the engine
+    #: observes per-chunk telemetry from this field (on the
+    #: ``processes`` backend the seconds cross beside the encoded pairs
+    #: and land here on decode).  Excluded from equality: two runs of the
+    #: same chunk are the *same* phase-one output regardless of how long
+    #: they took.
     seconds: float | None = field(default=None, compare=False)
 
     @property

@@ -15,7 +15,8 @@ evaporate on restart.  This package makes that state durable:
   subsequent fold.  The same module encodes a window's phase-one output
   (:func:`encode_phase_one` / :func:`decode_phase_one`): cleaning
   reports, repaired records, semantics and snippets, equal pair for
-  pair after the round-trip.
+  pair after the round-trip — also the format a phase-one result
+  crosses the ``processes`` backend in.
 - :mod:`~repro.durability.wal` — an append-only write-ahead log of
   per-window entries (each venue's exact
   :class:`~repro.core.complementing.PartialKnowledge` delta plus

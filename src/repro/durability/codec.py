@@ -9,7 +9,9 @@ version, older or newer, raises :class:`~repro.errors.PersistenceError`
 instead of silently misreading.  Version 2 added the phase-one payload
 (:func:`encode_phase_one`): a retained window's cleaning and annotation
 output rides beside its raw record batch, so recovery decodes it instead
-of re-running clean + annotate.
+of re-running clean + annotate.  The same payload is how a phase-one
+result crosses the ``processes`` backend's process boundary: the worker
+encodes it, the engine decodes it against the chunk it sent.
 
 The round-trip guarantee is **bit-for-bit**, not merely value-equal:
 
@@ -504,17 +506,18 @@ def decode_phase_one(
     encoded, against the window's raw ``sequences`` (its record batch
     grouped per device), equal to the originals pair for pair.
 
-    ``where`` names the file and entry the payload came from: a payload
-    whose sequence count differs from ``sequences``, or any missing or
-    malformed field, raises :class:`~repro.errors.PersistenceError`
-    naming it — nothing is silently truncated.
+    ``where`` names where the payload came from — a journal file and
+    entry, or a process task's venue and chunk: a payload whose sequence
+    count differs from ``sequences``, or any missing or malformed field,
+    raises :class:`~repro.errors.PersistenceError` naming it — nothing is
+    silently truncated.
     """
     if not isinstance(payload, list):
-        raise PersistenceError(f"{where} has no valid 'phase_one' field")
+        raise PersistenceError(f"{where} has no valid 'phase_one' payload")
     if len(payload) != len(sequences):
         raise PersistenceError(
-            f"{where} field 'phase_one' holds {len(payload)} sequences, "
-            f"but its batch groups into {len(sequences)} devices"
+            f"{where}: 'phase_one' holds {len(payload)} sequences for "
+            f"{len(sequences)} raw sequences"
         )
     pairs = []
     for index, (entry, raw) in enumerate(zip(payload, sequences)):

@@ -19,14 +19,15 @@ Mapping is windowed: at most ``workers * window_factor`` tasks are in
 flight at once, so a streaming input iterator is consumed incrementally
 instead of being drained eagerly into the pool queue.
 
-Results travel back whole: whatever the worker function returns is
-yielded to the caller unchanged, which is how the engine's sharded
-knowledge build ships each chunk's ``PhaseOneChunk`` — per-sequence
-results *plus* the chunk's ``PartialKnowledge`` shard — back to the
-barrier.  On the ``processes`` backend both the submitted callable (a
-module-level function, possibly wrapped in ``functools.partial``) and the
-returned values must be picklable; ``PartialKnowledge`` is a plain
-dataclass of counts for exactly that reason.
+Results come back unchanged: whatever the worker function returns is
+yielded to the caller as is.  :attr:`ExecutionBackend.remote` tells the
+caller whether payloads and results cross a process boundary: in-process
+backends share objects by reference, while across processes the engine
+ships a phase-one chunk as ``RecordBatch`` columns and gets its output
+back in the phase-one codec plus its ``PartialKnowledge`` shard, never a
+record object.  On the ``processes`` backend both the submitted callable
+(a module-level function, possibly wrapped in ``functools.partial``) and
+the returned values must be picklable.
 
 Warm pools and shared per-phase values
 --------------------------------------
@@ -56,7 +57,7 @@ from collections import OrderedDict, deque
 from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Any, Callable, Iterable, Iterator, TypeVar
+from typing import Any, Callable, ClassVar, Iterable, Iterator, TypeVar
 
 from ..errors import ConfigError
 
@@ -128,6 +129,9 @@ class ExecutionBackend(ABC):
     """A bounded pool that maps worker functions over payloads in order."""
 
     name: str = "abstract"
+    #: Whether tasks and results cross a process boundary (and so are
+    #: pickled).  A property of the backend class, not an option.
+    remote: ClassVar[bool] = False
 
     def __init__(self, workers: int | None = None):
         if workers is not None and workers < 1:
@@ -279,9 +283,15 @@ def _call_in_process(fn: Callable[[Any, P], R], payload: P) -> R:
 
 
 class ProcessBackend(_PoolBackend):
-    """Process-pool execution; sidesteps the GIL for CPU-bound phases."""
+    """Process-pool execution; sidesteps the GIL for CPU-bound phases.
+
+    ``remote``: every task and result is pickled, so the engine sends
+    phase-one chunks as columns and takes results back in the phase-one
+    codec — the calling process already holds the records.
+    """
 
     name = "processes"
+    remote = True
 
     def _make_pool(self) -> Executor:
         try:

@@ -65,7 +65,11 @@ import time
 from dataclasses import dataclass, replace
 from typing import ClassVar, Iterable, Iterator, Mapping
 
-from ..columnar import run_phase_one_chunk_columnar
+from ..columnar import (
+    RecordBatch,
+    run_phase_one_batch,
+    run_phase_one_chunk_columnar,
+)
 from ..core.complementing import (
     ComplementResult,
     MobilityKnowledge,
@@ -83,6 +87,7 @@ from ..core.translator import (
     gapless_complements,
     run_phase_two_chunk,
 )
+from ..durability.codec import decode_phase_one, encode_phase_one
 from ..errors import ConfigError
 from ..knowledge import KnowledgeStore, parse_retention
 from ..positioning import PositioningSequence
@@ -112,17 +117,62 @@ def _phase_one_task(
     The context is a venue map so one pool can serve several translators;
     a stand-alone engine opens the map with a single entry.  The chunk
     runs on the columnar kernels and aggregates its knowledge shard for
-    the barrier to merge.
+    the barrier to merge.  This is the in-process task: chunk and result
+    are shared by reference.
     """
     key, chunk = payload
     started = time.perf_counter()
     result = run_phase_one_chunk_columnar(
         venues[key], chunk, emit_partial=True
     )
-    # Worker-side timing rides home on the chunk itself: with the
-    # ``processes`` backend there is no shared registry, so the float on
-    # the result is how per-chunk telemetry crosses the process boundary.
+    # Worker-side timing rides on the result (the wire task's too):
+    # workers share no registry, so the engine observes per-chunk
+    # telemetry from the float it gets back.
     return replace(result, seconds=time.perf_counter() - started)
+
+
+def _phase_one_wire_task(
+    venues: Mapping[str, Translator],
+    payload: "tuple[str, RecordBatch, list[tuple[int, int]]]",
+) -> "tuple[list, PartialKnowledge | None, float]":
+    """Phase-one task across a process boundary: no record object crosses.
+
+    The chunk arrives as ``RecordBatch.from_sequences`` columns and one
+    span per sequence, and runs on that batch.  Its pairs go back in the
+    phase-one codec, which leaves out every record the engine already
+    holds (raw sequences, unrepaired cleaned records, snippet records),
+    beside the knowledge shard and the worker-side seconds; the engine
+    decodes them against the chunk it sent (:func:`_from_wire`).
+    Timestamps and coordinates cross as doubles, as every reader builds
+    them.
+    """
+    key, batch, spans = payload
+    started = time.perf_counter()
+    result = run_phase_one_batch(
+        venues[key], batch, batch.to_sequences(spans), emit_partial=True
+    )
+    return (
+        encode_phase_one(result.pairs),
+        result.partial,
+        time.perf_counter() - started,
+    )
+
+
+def _from_wire(
+    key: str,
+    index: int,
+    chunk: list[PositioningSequence],
+    result: "tuple[list, PartialKnowledge | None, float]",
+) -> PhaseOneChunk:
+    """The :class:`PhaseOneChunk` of a :func:`_phase_one_wire_task`
+    result, decoded against the ``chunk`` the engine sent.  A result that
+    does not fit its chunk raises
+    :class:`~repro.errors.PersistenceError` naming the venue and chunk."""
+    payload, partial, seconds = result
+    pairs = decode_phase_one(
+        payload, chunk, f"venue {key!r} phase-one chunk {index} result"
+    )
+    return PhaseOneChunk(pairs, partial, seconds)
 
 
 def _phase_two_task(
@@ -402,16 +452,31 @@ class Engine:
         The payload generator records every chunk it hands to the pool;
         ``map()`` yields chunk results in the same submission order,
         keeping the lists aligned for the deterministic input-order merge.
+        On a ``remote`` backend each chunk goes out as columns and each
+        result is decoded against its consumed chunk as it arrives, while
+        later chunks are still running.
         """
         consumed: list[list[PositioningSequence]] = []
         key = self.context_key
+        remote = backend.remote
 
-        def payloads() -> Iterator[tuple[str, list[PositioningSequence]]]:
+        def payloads() -> Iterator[tuple]:
             for chunk in chunks:
                 consumed.append(chunk)
-                yield (key, chunk)
+                if remote:
+                    yield (key, *RecordBatch.from_sequences(chunk))
+                else:
+                    yield (key, chunk)
 
-        phase_one_chunks = list(backend.map(_phase_one_task, payloads()))
+        if remote:
+            phase_one_chunks = [
+                _from_wire(key, index, consumed[index], result)
+                for index, result in enumerate(
+                    backend.map(_phase_one_wire_task, payloads())
+                )
+            ]
+        else:
+            phase_one_chunks = list(backend.map(_phase_one_task, payloads()))
         registry = get_registry()
         if registry.enabled and phase_one_chunks:
             # The workers' ride-along chunk timings.

@@ -17,7 +17,12 @@ from repro.dsm import (
     SemanticTag,
 )
 from repro.geometry import Point, Polygon
-from repro.positioning import PositioningSequence, RawPositioningRecord
+from repro.positioning import (
+    PositioningSequence,
+    RawPositioningRecord,
+    inject_floor_errors,
+    inject_outliers,
+)
 from repro.simulation import MobilitySimulator, SHOPPER
 
 
@@ -182,3 +187,63 @@ def stationary_sequence(
             )
         )
     return PositioningSequence(device_id, records)
+
+
+def shop_records(prefix: str = "", start: float = 0.0):
+    """A few shop dwellers and hall walkers, as one time-sorted feed."""
+    sequences = []
+    for i in range(3):
+        sequences.append(
+            stationary_sequence(
+                f"{prefix}dwell-{i}",
+                at=(5.0 if i % 2 == 0 else 15.0, 15.0, 1),
+                seed=i,
+                start=start + 120.0 * i,
+            )
+        )
+    for i in range(2):
+        sequences.append(
+            walk_sequence(f"{prefix}walk-{i}", start=start + 60.0 * i)
+        )
+    records = [r for s in sequences for r in s.records]
+    return sorted(records, key=lambda r: (r.timestamp, r.device_id))
+
+
+def dirty_shop_records(
+    prefix: str = "",
+    seed: int = 0,
+    outliers: float = 0.12,
+    floor_errors: float = 0.1,
+    leading: bool = True,
+    singletons: int = 4,
+):
+    """The shop feed made dirty: teleport outliers (interpolated),
+    wrong-floor fixes (floor-corrected), a leading outlier on every other
+    device (record 0 repaired) and ``singletons`` one-record devices."""
+    records = []
+    for index, sequence in enumerate(
+        PositioningSequence.group_records(shop_records(prefix))
+    ):
+        if outliers:
+            sequence, _ = inject_outliers(
+                sequence, outliers, magnitude=30.0, seed=seed + index
+            )
+        if floor_errors:
+            sequence, _ = inject_floor_errors(
+                sequence, floor_errors, [1, 2], seed=seed + index
+            )
+        first = sequence.records[0]
+        if leading and index % 2:
+            first = first.moved(
+                Point(first.location.x + 28.0, first.location.y, first.floor)
+            )
+        records.append(first)
+        records.extend(sequence.records[1:])
+    for index in range(singletons):
+        records.append(
+            RawPositioningRecord(
+                30.0 + 150.0 * index, f"{prefix}blip-{index}",
+                Point(12.0, 5.0, 1),
+            )
+        )
+    return sorted(records, key=lambda r: (r.timestamp, r.device_id))

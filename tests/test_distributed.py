@@ -31,8 +31,7 @@ from repro.errors import ConfigError
 from repro.live import LiveConfig, LiveTranslationService
 from repro.positioning import RecordStream, sequence_stream, windowed_records
 
-from .conftest import make_two_shop_dsm
-from .test_live import shop_records
+from .conftest import dirty_shop_records, make_two_shop_dsm, shop_records
 
 WINDOW_SECONDS = 60.0
 
@@ -280,6 +279,34 @@ class TestConvergence:
             cluster.run_stream(
                 RecordStream(iter(shop_records())), venue_id="east"
             )
+            finalized = cluster.finalize()["east"]
+        order = lambda r: (r.device_id, r.raw.records[0].timestamp)
+        assert sorted(finalized.results, key=order) == sorted(
+            reference.results, key=order
+        )
+        assert finalized.knowledge == reference.knowledge
+
+    def test_process_shards_finalize_equals_batch_on_a_dirty_feed(self):
+        """Two shards on the ``processes`` backend, on a feed whose
+        cleaning repairs records: every phase-one result crosses the
+        process boundary in the phase-one codec, and ``finalize()`` still
+        equals the one-shot batch translation."""
+        records = dirty_shop_records()
+        sequences = list(
+            sequence_stream(RecordStream(iter(records)), WINDOW_SECONDS)
+        )
+        reference = Engine(
+            Translator(make_two_shop_dsm()), EngineConfig(chunk_size=2)
+        ).translate_batch(sequences)
+        assert sum(r.cleaning.report.repaired_count for r in reference) > 0
+        cluster = make_cluster(
+            shards=2,
+            engine_config=EngineConfig(
+                backend="processes", workers=1, chunk_size=2
+            ),
+        )
+        with cluster:
+            cluster.run_stream(RecordStream(iter(records)), venue_id="east")
             finalized = cluster.finalize()["east"]
         order = lambda r: (r.device_id, r.raw.records[0].timestamp)
         assert sorted(finalized.results, key=order) == sorted(

@@ -44,7 +44,6 @@ from repro.durability import (
 )
 from repro.engine import Engine, EngineConfig
 from repro.errors import PersistenceError
-from repro.geometry import Point
 from repro.knowledge import (
     ExponentialDecay,
     KnowledgeStore,
@@ -54,21 +53,22 @@ from repro.knowledge import (
 from repro.live import LiveConfig, LiveTranslationService
 from repro.positioning import (
     PositioningSequence,
-    RawPositioningRecord,
     RecordStream,
-    inject_floor_errors,
-    inject_outliers,
     windowed_records,
 )
 
-from .conftest import make_two_shop_dsm, walk_sequence
+from .conftest import (
+    dirty_shop_records,
+    make_two_shop_dsm,
+    shop_records,
+    walk_sequence,
+)
 from .test_knowledge_store import (
     REGIONS,
     annotated_sequences,
     corpora,
     partial_of,
 )
-from .test_live import shop_records
 
 WINDOW_SECONDS = 60.0
 
@@ -88,46 +88,6 @@ def store_state(store: KnowledgeStore) -> dict:
     state = encode(store)
     state.pop("track_deltas")
     return state
-
-
-def dirty_shop_records(
-    prefix: str = "",
-    seed: int = 0,
-    outliers: float = 0.12,
-    floor_errors: float = 0.1,
-    leading: bool = True,
-    singletons: int = 4,
-):
-    """The shop feed made dirty: teleport outliers (interpolated),
-    wrong-floor fixes (floor-corrected), a leading outlier on every other
-    device (record 0 repaired) and ``singletons`` one-record devices."""
-    records = []
-    for index, sequence in enumerate(
-        PositioningSequence.group_records(shop_records(prefix))
-    ):
-        if outliers:
-            sequence, _ = inject_outliers(
-                sequence, outliers, magnitude=30.0, seed=seed + index
-            )
-        if floor_errors:
-            sequence, _ = inject_floor_errors(
-                sequence, floor_errors, [1, 2], seed=seed + index
-            )
-        first = sequence.records[0]
-        if leading and index % 2:
-            first = first.moved(
-                Point(first.location.x + 28.0, first.location.y, first.floor)
-            )
-        records.append(first)
-        records.extend(sequence.records[1:])
-    for index in range(singletons):
-        records.append(
-            RawPositioningRecord(
-                30.0 + 150.0 * index, f"{prefix}blip-{index}",
-                Point(12.0, 5.0, 1),
-            )
-        )
-    return sorted(records, key=lambda r: (r.timestamp, r.device_id))
 
 
 def phase_one_pairs(translator, sequences):

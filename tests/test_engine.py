@@ -13,9 +13,11 @@ from __future__ import annotations
 
 import dataclasses
 import inspect
+import pickle
 
 import pytest
 
+from repro.columnar import RecordBatch
 from repro.core import Translator
 from repro.core.translator import BatchStats, BatchTranslationResult, PhaseStats
 from repro.engine import engine as engine_module
@@ -24,6 +26,7 @@ from repro.engine import (
     DEFAULT_CHUNK_SIZE,
     Engine,
     EngineConfig,
+    ProcessBackend,
     SerialBackend,
     SharedValue,
     ThreadBackend,
@@ -32,10 +35,20 @@ from repro.engine import (
     partition,
     resolve_shared,
 )
-from repro.errors import AnnotationError, ConfigError
-from repro.positioning import RecordStream, sequence_stream, windowed_sequences
+from repro.errors import AnnotationError, ConfigError, PersistenceError
+from repro.positioning import (
+    PositioningSequence,
+    RecordStream,
+    sequence_stream,
+    windowed_sequences,
+)
 
-from .conftest import make_two_shop_dsm, stationary_sequence, walk_sequence
+from .conftest import (
+    dirty_shop_records,
+    make_two_shop_dsm,
+    stationary_sequence,
+    walk_sequence,
+)
 
 ALL_BACKENDS = sorted(BACKENDS)
 
@@ -448,6 +461,111 @@ def test_share_pickled_resolves_and_caches():
     # Cached per generation: same object back on the second resolve.
     assert resolve_shared(token) is first
     backend.release(token)  # no-op, must not raise
+
+
+# ----------------------------------------------------------------------
+# The process boundary: columns out, the phase-one codec back
+# ----------------------------------------------------------------------
+class _InlineRemoteBackend(SerialBackend):
+    """Serial execution that the engine treats as ``remote``: the wire
+    path (columns out, codec back) runs in-process, where a test can
+    tamper with it."""
+
+    remote = True
+
+
+#: Record-level classes whose instances the engine already holds.
+RECORD_CLASSES = (
+    "RawPositioningRecord", "PositioningSequence", "CleaningResult", "Snippet",
+)
+
+
+@pytest.fixture(scope="module")
+def dirty_sequences():
+    return PositioningSequence.group_records(dirty_shop_records())
+
+
+@pytest.fixture(scope="module")
+def dirty_serial(shop_translator, dirty_sequences):
+    batch = Engine(shop_translator).translate_batch(dirty_sequences)
+    # The feed really repairs, so the codec's cleaned-record half crosses.
+    assert sum(result.cleaning.report.repaired_count for result in batch) > 0
+    return batch
+
+
+def test_backend_remote_is_a_class_property():
+    assert [
+        name for name in ALL_BACKENDS if BACKENDS[name].remote
+    ] == ["processes"]
+    assert "remote" not in inspect.signature(ProcessBackend).parameters
+
+
+def test_no_record_object_crosses_the_process_boundary(
+    shop_translator, dirty_sequences
+):
+    """The wire task's payload holds columns, its result the phase-one
+    codec: no record-level object is pickled either way, the result is
+    at most a quarter of the whole ``PhaseOneChunk``'s pickle, and it
+    decodes to that chunk against the sequences the engine sent."""
+    venues = {"default": shop_translator}
+    task = ("default", *RecordBatch.from_sequences(dirty_sequences))
+    result = engine_module._phase_one_wire_task(venues, task)
+    task_bytes, result_bytes = pickle.dumps(task), pickle.dumps(result)
+    assert b"RawPositioningRecord" not in task_bytes
+    for name in RECORD_CLASSES:
+        assert name.encode() not in result_bytes
+    whole = engine_module._phase_one_task(venues, ("default", dirty_sequences))
+    assert len(result_bytes) * 4 <= len(pickle.dumps(whole))
+    decoded = engine_module._from_wire(
+        "default", 0, dirty_sequences, pickle.loads(result_bytes)
+    )
+    assert decoded == whole
+    assert decoded.seconds is not None
+
+
+@pytest.mark.parametrize("chunk_size", [1, 3])
+def test_processes_match_serial_on_a_dirty_feed(
+    shop_translator, dirty_sequences, dirty_serial, chunk_size
+):
+    batch = Engine(
+        shop_translator,
+        EngineConfig(backend="processes", workers=2, chunk_size=chunk_size),
+    ).translate_batch(dirty_sequences)
+    assert_batches_identical(batch, dirty_serial)
+
+
+def test_a_wire_result_that_misfits_its_chunk_is_refused(
+    shop_translator, dirty_sequences, dirty_serial, monkeypatch
+):
+    """A result holding fewer sequences than its chunk sent raises,
+    naming the venue and the chunk — never a silent truncation."""
+    wire_task = engine_module._phase_one_wire_task
+    calls = []
+
+    def dropping_in_chunk_one(venues, payload):
+        encoded, partial, seconds = wire_task(venues, payload)
+        calls.append(payload)
+        return (encoded[:-1] if len(calls) == 2 else encoded), partial, seconds
+
+    backend = _InlineRemoteBackend()
+    backend.open({"east": shop_translator})
+    with backend:
+        engine = Engine(
+            shop_translator, EngineConfig(chunk_size=3), backend=backend,
+            context_key="east",
+        )
+        # Untampered, the in-process wire path equals serial.
+        assert_batches_identical(
+            engine.translate_batch(dirty_sequences), dirty_serial
+        )
+        monkeypatch.setattr(
+            engine_module, "_phase_one_wire_task", dropping_in_chunk_one
+        )
+        with pytest.raises(
+            PersistenceError,
+            match=r"venue 'east' phase-one chunk 1 .*2 sequences for 3 raw",
+        ):
+            engine.translate_batch(dirty_sequences)
 
 
 # ----------------------------------------------------------------------

@@ -34,29 +34,14 @@ from repro.positioning import (
 )
 from repro.viewer import ViewerSession
 
-from .conftest import make_two_shop_dsm, stationary_sequence, walk_sequence
+from .conftest import (
+    make_two_shop_dsm,
+    shop_records,
+    stationary_sequence,
+    walk_sequence,
+)
 
 ALL_BACKENDS = sorted(BACKENDS)
-
-
-def shop_records(prefix: str = "", start: float = 0.0):
-    """A few shop dwellers and hall walkers, as one time-sorted feed."""
-    sequences = []
-    for i in range(3):
-        sequences.append(
-            stationary_sequence(
-                f"{prefix}dwell-{i}",
-                at=(5.0 if i % 2 == 0 else 15.0, 15.0, 1),
-                seed=i,
-                start=start + 120.0 * i,
-            )
-        )
-    for i in range(2):
-        sequences.append(
-            walk_sequence(f"{prefix}walk-{i}", start=start + 60.0 * i)
-        )
-    records = [r for s in sequences for r in s.records]
-    return sorted(records, key=lambda r: (r.timestamp, r.device_id))
 
 
 def reference_batches(records_by_venue, translators, window_seconds, **engine):
