@@ -3,9 +3,9 @@
 
 Simulates a day of traffic at two buildings — a mall crowd and an office
 workforce — replays both as timestamp-ordered positioning feeds, and
-serves them through one LiveTranslationService instance: the asyncio
-front-end cuts each feed into 30-minute windows (bounded queue, so a slow
-translator backpressures the feeds), a shared worker pool translates each
+serves them through one LiveTranslationService instance: the window
+driver cuts each feed into 30-minute windows, round-robin across the
+feeds on the calling thread, a shared worker pool translates each
 window, and every window's PartialKnowledge shard folds into that venue's
 long-running knowledge — no rebuilds.
 
@@ -180,7 +180,6 @@ def main() -> None:
         EngineConfig(backend="threads", chunk_size=4),
         LiveConfig(
             window_seconds=WINDOW_SECONDS,
-            max_pending_windows=4,
             snapshot_interval=args.snapshot_interval,
         ),
         state_dir=args.state_dir,
@@ -220,7 +219,7 @@ def main() -> None:
             vid: state.records
             for vid, state in recovered.venues.items()
         }
-        print("\n[serving both feeds through the asyncio front-end]")
+        print("\n[serving both feeds, one window per feed per pass]")
         stats = service.serve(
             {
                 vid: RecordStream(iter(records[skip.get(vid, 0):]))

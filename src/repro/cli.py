@@ -55,25 +55,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     translate.add_argument("config", type=Path)
     translate.add_argument("--out", type=Path, default=Path("trips-results"))
-    translate.add_argument(
-        "--backend",
-        choices=("serial", "threads", "processes"),
-        default=None,
-        help="execution backend of the batch engine (default: serial)",
-    )
-    translate.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="engine worker pool size; requires --backend "
-        "(default: one per CPU)",
-    )
-    translate.add_argument(
-        "--chunk-size",
-        type=int,
-        default=None,
-        help="sequences per engine work chunk; requires --backend",
-    )
+    _add_engine_arguments(translate, "execution backend of the batch engine")
     translate.add_argument(
         "--telemetry-dump",
         type=Path,
@@ -109,14 +91,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="optional record-count bound per window",
     )
-    serve.add_argument(
-        "--backend",
-        choices=("serial", "threads", "processes"),
-        default="threads",
-        help="shared worker pool backend (default: threads)",
-    )
-    serve.add_argument("--workers", type=int, default=None)
-    serve.add_argument("--chunk-size", type=int, default=None)
+    _add_engine_arguments(serve, "shared worker pool backend")
     serve.add_argument(
         "--retention",
         default=None,
@@ -221,6 +196,30 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _add_engine_arguments(command, backend_help: str) -> None:
+    """``--backend`` / ``--workers`` / ``--chunk-size``, read back by
+    :func:`_engine_config`."""
+    command.add_argument(
+        "--backend",
+        choices=("serial", "threads", "processes"),
+        default=None,
+        help=f"{backend_help} (default: serial)",
+    )
+    command.add_argument(
+        "--workers",
+        type=int,
+        default=None,
+        help="engine worker pool size; requires --backend "
+        "(default: one per CPU)",
+    )
+    command.add_argument(
+        "--chunk-size",
+        type=int,
+        default=None,
+        help="sequences per engine work chunk; requires --backend",
+    )
+
+
 import contextlib
 
 
@@ -305,24 +304,31 @@ def _cmd_validate(args) -> None:
         print(f"  warning: {warning}")
 
 
-def _cmd_translate(args) -> None:
-    from .config import load_task, run_task
+def _engine_config(args):
+    """The engine config of ``--backend`` / ``--workers`` /
+    ``--chunk-size``.  No ``--backend`` means :class:`EngineConfig`'s
+    defaults (the serial engine, never the reference translator); the
+    tuning flags only tune an explicitly chosen backend."""
     from .engine import EngineConfig
     from .errors import ConfigError
 
-    # No --backend still means the engine, with its defaults: the plain
-    # command runs the default pipeline, not the reference translator.
-    engine = EngineConfig()
-    if args.backend is not None:
-        kwargs = {"backend": args.backend, "workers": args.workers}
-        if args.chunk_size is not None:
-            kwargs["chunk_size"] = args.chunk_size
-        engine = EngineConfig(**kwargs)
-    elif args.workers is not None or args.chunk_size is not None:
-        raise ConfigError(
-            "--workers/--chunk-size tune an explicitly chosen engine; name "
-            "its --backend (serial, threads or processes) as well"
-        )
+    if args.backend is None:
+        if args.workers is not None or args.chunk_size is not None:
+            raise ConfigError(
+                "--workers/--chunk-size tune an explicitly chosen engine; "
+                "name its --backend (serial, threads or processes) as well"
+            )
+        return EngineConfig()
+    kwargs = {"backend": args.backend, "workers": args.workers}
+    if args.chunk_size is not None:
+        kwargs["chunk_size"] = args.chunk_size
+    return EngineConfig(**kwargs)
+
+
+def _cmd_translate(args) -> None:
+    from .config import load_task, run_task
+
+    engine = _engine_config(args)
     config = load_task(args.config)
     with _telemetry_session(dump_path=args.telemetry_dump):
         batch = run_task(config, engine=engine)
@@ -341,7 +347,6 @@ def _cmd_translate(args) -> None:
 
 def _cmd_serve(args) -> None:
     from .config import build_translator, load_task, select_sequences
-    from .engine import EngineConfig
     from .errors import ConfigError
     from .knowledge import parse_retention
     from .live import LiveConfig, LiveTranslationService
@@ -359,6 +364,7 @@ def _cmd_serve(args) -> None:
             "--snapshot-interval tunes the durable-state checkpoint "
             "cadence; pass --state-dir to enable journaling"
         )
+    engine_config = _engine_config(args)
     translators = {}
     feeds = {}
     retention = {}
@@ -386,10 +392,6 @@ def _cmd_serve(args) -> None:
             key=lambda record: (record.timestamp, record.device_id),
         )
 
-    engine_kwargs = {"backend": args.backend, "workers": args.workers}
-    if args.chunk_size is not None:
-        engine_kwargs["chunk_size"] = args.chunk_size
-    engine_config = EngineConfig(**engine_kwargs)
     live_kwargs = {
         "window_seconds": args.window_seconds,
         "max_window_records": args.max_window_records,

@@ -14,12 +14,11 @@ How it works
 is cut into consecutive windows bounded by time
 (``LiveConfig.window_seconds``) and optionally by record count
 (``LiveConfig.max_window_records``) — whichever bound closes first.
-``serve`` cuts through the asyncio front-end: a bounded queue
-(``LiveConfig.max_pending_windows`` deep) fills when translation falls
-behind and blocks the feed readers, so in-flight memory stays bounded
-by queue depth × window size.  ``run_stream`` / ``run_feeds`` (here and
-on the sharded cluster) and ``trips serve`` cut through the sync loop,
-one window per live feed per pass (see :mod:`repro.live.ingest`).
+Every entry point — ``serve``, ``run_stream`` / ``run_feeds`` (here and
+on the sharded cluster) and ``trips serve`` — cuts through one sync
+loop on the calling thread, one window per live feed per pass, each
+window translated before the next is cut (see :mod:`repro.live.ingest`),
+so in-flight memory is one window and the cuts are deterministic.
 
 **Fold, don't rebuild.**  Every window runs through the engine's
 incremental path: phase one (clean + annotate) fans out across the
@@ -69,7 +68,7 @@ Quickstart::
 """
 
 from .dispatch import VENUE_SEPARATOR, Router, VenueDispatcher, prefix_router
-from .ingest import FeedSet, serve_async
+from .ingest import FeedSet
 from .merge import merge_device_results
 from .service import (
     LiveConfig,
@@ -91,5 +90,4 @@ __all__ = [
     "VenueStats",
     "merge_device_results",
     "prefix_router",
-    "serve_async",
 ]

@@ -43,13 +43,12 @@ With ``LiveConfig.adaptive_windowing`` (off by default) the service
 keeps an EWMA of each venue's observed records/sec and derives a
 per-venue ``max_window_records`` target from it, so a quiet office and a
 busy mall both keep their windows near the configured time span without
-one burst growing a window without bound.  Both window drivers
-(:mod:`repro.live.ingest`) consult :meth:`window_bounds` per window.
+one burst growing a window without bound.  The window driver
+(:mod:`repro.live.ingest`) consults :meth:`window_bounds` per window.
 """
 
 from __future__ import annotations
 
-import asyncio
 import math
 import time
 from dataclasses import dataclass, field
@@ -64,7 +63,7 @@ from ..core.translator import (
     assemble_results,
 )
 from ..engine import Engine, EngineConfig, ExecutionBackend, create_backend
-from ..errors import ConfigError
+from ..errors import ConfigError, DispatchError
 from ..knowledge import KnowledgeStore, RetentionPolicy, parse_retention
 from ..positioning import (
     PositioningSequence,
@@ -85,7 +84,7 @@ from ..durability import (
 )
 from ..errors import PersistenceError
 from .dispatch import Router, VenueDispatcher
-from .ingest import FeedSet, run_feeds as _run_feeds, serve_async
+from .ingest import FeedSet, run_feeds as _run_feeds
 
 #: Adaptive windowing never drives a venue's record target below this —
 #: a near-idle venue still gets meaningful batches.
@@ -104,9 +103,6 @@ class LiveConfig:
     window_seconds: float = 300.0
     #: Optional per-window record bound (whichever bound closes first).
     max_window_records: int | None = None
-    #: Bounded ingestion queue depth: at most this many cut windows wait
-    #: for translation before the feed readers block (backpressure).
-    max_pending_windows: int = 4
     #: Keep every window's per-device results for :meth:`finalize` /
     #: viewer construction.  Disable for truly unbounded feeds, where
     #: only per-window emissions and the folded knowledge are retained.
@@ -135,11 +131,6 @@ class LiveConfig:
             raise ConfigError(
                 f"max_window_records must be >= 1, got "
                 f"{self.max_window_records}"
-            )
-        if self.max_pending_windows < 1:
-            raise ConfigError(
-                f"max_pending_windows must be >= 1, got "
-                f"{self.max_pending_windows}"
             )
         if not 0.0 < self.adaptive_alpha <= 1.0:
             raise ConfigError(
@@ -327,9 +318,9 @@ class LiveTranslationService:
 
     Construct with ``{venue_id: Translator}`` — one entry per building —
     plus the engine and live configs; then either drive it window by
-    window (:meth:`process_window`), replay finite feeds on the calling
-    thread (:meth:`run_stream` / :meth:`run_feeds`), or serve one or
-    more feeds through the asyncio ingestion front-end (:meth:`serve`).
+    window (:meth:`process_window`) or run feeds through the window
+    driver on the calling thread (:meth:`run_stream` / :meth:`run_feeds`
+    / :meth:`serve`).
     The worker pool opens lazily on the first window and stays warm
     until :meth:`close`; the service is a context manager.
     """
@@ -865,7 +856,7 @@ class LiveTranslationService:
         The time span is global; the record bound is the venue's
         adaptive target when adaptive windowing is on and the venue has
         been observed, else the global ``max_window_records``.  Consulted
-        before every cut by both window drivers.
+        before every cut by the window driver.
         """
         config = self.live_config
         max_records = config.max_window_records
@@ -904,14 +895,14 @@ class LiveTranslationService:
         feeds: FeedSet,
         on_window: Callable[[LiveWindowResult], None] | None = None,
     ) -> LiveStats:
-        """Drive the asyncio ingestion front-end to feed exhaustion.
-
-        ``feeds`` is a single (router-dispatched) :class:`RecordStream`
-        or a ``{venue_id: RecordStream}`` map of tagged feeds.  Blocking
-        wrapper over :func:`repro.live.serve_async`.
-        """
-        self._ensure_open()
-        return asyncio.run(serve_async(self, feeds, on_window=on_window))
+        """:meth:`run_feeds` over a single (router-dispatched)
+        :class:`RecordStream` or a ``{venue_id: RecordStream}`` map of
+        tagged feeds."""
+        if isinstance(feeds, RecordStream):
+            feeds = {None: feeds}
+        elif not feeds:
+            raise DispatchError("serve() needs at least one feed")
+        return self.run_feeds(feeds, on_window)
 
     # ------------------------------------------------------------------
     # Accumulated state

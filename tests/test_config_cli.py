@@ -380,5 +380,35 @@ class TestCli:
             ) == 1
             assert "--backend" in capsys.readouterr().err
 
+    def test_serve_tuning_flags_require_backend(self, task_workspace, capsys):
+        _, _, config_path = task_workspace
+        for flag, value in (("--chunk-size", "4"), ("--workers", "2")):
+            assert cli_main(["serve", str(config_path), flag, value]) == 1
+            assert "--backend" in capsys.readouterr().err
+
+    def test_serve_defaults_to_the_serial_engine(
+        self, task_workspace, capsys, monkeypatch
+    ):
+        """No --backend on `trips serve` means ``EngineConfig()``: the
+        serial engine, not a thread pool."""
+        from repro.engine import EngineConfig
+        from repro.live import LiveTranslationService
+
+        engines = []
+        original = LiveTranslationService.__init__
+
+        def spy(self, translators, engine_config=None, *args, **kwargs):
+            engines.append(engine_config)
+            original(self, translators, engine_config, *args, **kwargs)
+
+        monkeypatch.setattr(LiveTranslationService, "__init__", spy)
+        _, _, config_path = task_workspace
+        assert cli_main(
+            ["serve", str(config_path), "--window-seconds", "7200",
+             "--no-finalize"]
+        ) == 0
+        assert engines == [EngineConfig()]
+        assert engines[0].backend == "serial"
+
     def test_error_exit_code(self, tmp_path, capsys):
         assert cli_main(["validate-dsm", str(tmp_path / "absent.json")]) == 1

@@ -770,7 +770,7 @@ class TestLiveLifecycle:
             )
         assert service.stats.venues["east"].window_records_target <= 10
 
-    def test_adaptive_serve_async_path(self):
+    def test_adaptive_serve_path(self):
         service = LiveTranslationService(
             self.venue(),
             EngineConfig(chunk_size=2),

@@ -11,7 +11,11 @@ translator while all venues share one worker pool.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from dataclasses import fields, replace
+from pathlib import Path
 
 import pytest
 
@@ -143,16 +147,16 @@ def test_live_matches_batch_any_window_any_backend(
         assert finalized[venue_id].knowledge == reference.knowledge
 
 
-def test_async_serve_matches_sync_replay(two_venues):
-    """The asyncio front-end (tagged feeds, bounded queue) produces the
-    same finalized output as the synchronous driver."""
+def test_serve_matches_reference(two_venues):
+    """``serve`` over tagged feeds finalizes to the one-shot batch over
+    the same windowed sequences."""
     records = {"east": shop_records(), "west": shop_records(start=11.0)}
     window_seconds = 60.0
     emitted = []
     service = LiveTranslationService(
         two_venues,
         EngineConfig(backend="threads", workers=2, chunk_size=2),
-        LiveConfig(window_seconds=window_seconds, max_pending_windows=1),
+        LiveConfig(window_seconds=window_seconds),
     )
     with service:
         stats = service.serve(
@@ -325,22 +329,14 @@ def finalize_through(driver, translators, feeds, backend, adaptive):
 @pytest.mark.parametrize("tagged", [True, False], ids=["tagged", "untagged"])
 def test_drivers_finalize_identically(two_venues, backend, adaptive, tagged):
     """``run_feeds``, per-venue ``run_stream`` and ``serve`` finalize bit
-    for bit alike.
-
-    ``serve`` sits out tagged adaptive feeds: its producers read a
-    venue's adaptive record bound while that venue's earlier windows are
-    still queued, so its cuts there depend on scheduling; the sync
-    driver reads every bound after the previous window translated.
-    """
+    for bit alike."""
     if tagged:  # bursty feeds, so the adaptive record bound closes cuts
         feeds = {"east": fuzz_records(1), "west": fuzz_records(2)}
     else:
         mixed = shop_records("east:") + shop_records("west:", start=13.0)
         mixed.sort(key=lambda r: (r.timestamp, r.device_id))
         feeds = {None: mixed}  # dispatcher-routed by device-id prefix
-    drivers = ["run_feeds", "run_stream"]
-    if not (tagged and adaptive):
-        drivers.append("serve")
+    drivers = ["run_feeds", "run_stream", "serve"]
     finalized = {
         driver: finalize_through(driver, two_venues, feeds, backend, adaptive)
         for driver in drivers
@@ -355,7 +351,7 @@ def test_drivers_finalize_identically(two_venues, backend, adaptive, tagged):
 
 def test_live_service_surface():
     """The ratchet: one sync driver entry pair plus ``serve``, and
-    ``LiveConfig`` stays at seven options."""
+    ``LiveConfig`` stays at six options."""
     public = {
         name for name in dir(LiveTranslationService)
         if not name.startswith("_")
@@ -366,9 +362,8 @@ def test_live_service_surface():
         "ensure_store", "results", "viewer_session", "finalize",
     }
     assert {f.name for f in fields(LiveConfig)} == {
-        "window_seconds", "max_window_records", "max_pending_windows",
-        "retain_results", "adaptive_windowing", "adaptive_alpha",
-        "snapshot_interval",
+        "window_seconds", "max_window_records", "retain_results",
+        "adaptive_windowing", "adaptive_alpha", "snapshot_interval",
     }
 
 
@@ -459,8 +454,8 @@ def test_unbounded_mode_drops_results_but_keeps_knowledge(two_venues):
 
 
 def test_serve_failing_feed_stops_siblings(two_venues):
-    """A feed whose iterator dies mid-stream surfaces its error without
-    deadlocking the other feed's producer against the bounded queue."""
+    """A feed whose iterator dies mid-stream surfaces its error at once;
+    the windows translated before it stay counted."""
 
     class Boom(RuntimeError):
         pass
@@ -472,78 +467,51 @@ def test_serve_failing_feed_stops_siblings(two_venues):
     service = LiveTranslationService(
         two_venues,
         EngineConfig(),
-        LiveConfig(window_seconds=30.0, max_pending_windows=1),
+        LiveConfig(window_seconds=30.0),
     )
+    emitted = []
     with service:
         with pytest.raises(Boom):
             service.serve(
                 {
                     "east": RecordStream(broken()),
                     "west": RecordStream(iter(shop_records(start=5.0))),
-                }
+                },
+                on_window=emitted.append,
             )
     # Whatever was translated before the failure is still accounted for.
-    assert service.stats.windows >= 1
+    assert service.stats.windows == len(emitted) >= 1
 
 
 def test_serve_unroutable_record_fails_loudly(two_venues):
-    """A consumer failure surfaces instead of deadlocking the producers
-    against a full ingestion queue."""
+    """A record routed to an unknown venue raises ``DispatchError``."""
     service = LiveTranslationService(
-        two_venues,
-        EngineConfig(),
-        LiveConfig(window_seconds=60.0, max_pending_windows=1),
+        two_venues, EngineConfig(), LiveConfig(window_seconds=60.0)
     )
     with service:
         with pytest.raises(DispatchError):
             service.serve(RecordStream(iter(shop_records())))
 
 
-def test_producer_failure_survives_failing_drain(two_venues):
-    """When a feed dies *and* the post-failure drain of already-queued
-    windows also fails, the producer's failure is the one raised — the
-    drain error chains as its context instead of replacing it.
+def test_import_leaves_asyncio_out():
+    """No module of the package imports :mod:`asyncio`: every window
+    driver runs on the calling thread."""
+    import repro
 
-    Regression: serve_async used to re-raise whatever the drain threw,
-    masking the original feed failure behind a secondary symptom.
-    """
-    import threading
-
-    release = threading.Event()
-
-    class ExplodingFeed(RecordStream):
-        """Serves pre-cut windows, then dies; the death releases the
-        consumer, so the poisoned window is still queued when the
-        producer failure is handled — the drain path under test."""
-
-        def __init__(self, windows):
-            super().__init__(iter(()))
-            self._windows = list(windows)
-
-        def take_window(self, window_seconds, max_records=None):
-            if self._windows:
-                return self._windows.pop(0)
-            release.set()
-            raise RuntimeError("feed exploded")
-
-    class GatedService(LiveTranslationService):
-        def process_window(self, records, venue_id=None):
-            assert release.wait(timeout=30)
-            return super().process_window(records, venue_id)
-
-    service = GatedService(
-        two_venues,
-        EngineConfig(chunk_size=2),
-        LiveConfig(window_seconds=60.0, max_pending_windows=4),
+    source_root = str(Path(repro.__file__).resolve().parent.parent)
+    probe = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, repro, repro.cli, repro.distributed, repro.live; "
+            "print('asyncio' in sys.modules)",
+        ],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": source_root},
     )
-    good_window = shop_records("east:")[:10]
-    unroutable_window = shop_records()[:5]
-    with service:
-        with pytest.raises(RuntimeError, match="feed exploded") as excinfo:
-            service.serve(ExplodingFeed([good_window, unroutable_window]))
-    assert isinstance(excinfo.value.__context__, DispatchError)
-    # The good window drained and is accounted for.
-    assert service.stats.windows == 1
+    assert probe.stdout.strip() == "False"
 
 
 def test_live_config_validation():
@@ -551,8 +519,6 @@ def test_live_config_validation():
         LiveConfig(window_seconds=0.0)
     with pytest.raises(ConfigError):
         LiveConfig(max_window_records=0)
-    with pytest.raises(ConfigError):
-        LiveConfig(max_pending_windows=0)
     with pytest.raises(ConfigError):
         LiveConfig(snapshot_interval=0)
 

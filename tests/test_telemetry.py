@@ -604,6 +604,36 @@ def test_live_finalize_is_bit_identical_with_telemetry(neutrality_inputs):
     assert encode(instrumented.knowledge) == encode(baseline.knowledge)
 
 
+@pytest.mark.parametrize("shards", [1, 2])
+def test_window_driver_times_every_cut(neutrality_inputs, shards):
+    """``run_feeds`` observes one cut latency per window it yields, on
+    the single service and the sharded cluster alike."""
+    from repro.distributed import ShardedIngestService
+    from repro.live import LiveConfig, LiveTranslationService
+    from repro.positioning import RecordStream
+
+    translator, sequences = neutrality_inputs
+    records = sorted(
+        (record for sequence in sequences for record in sequence.records),
+        key=lambda record: (record.timestamp, record.device_id),
+    )
+    live_config = LiveConfig(window_seconds=30.0)
+    with use_registry(MetricsRegistry()) as registry:
+        if shards == 1:
+            service = LiveTranslationService(
+                {"shop": translator}, live_config=live_config
+            )
+        else:
+            service = ShardedIngestService(
+                {"shop": translator}, shards=shards, live_config=live_config
+            )
+        with service:
+            stats = service.run_feeds({"shop": RecordStream(iter(records))})
+        cuts = registry.histogram("trips_live_window_cut_seconds")
+        assert stats.windows > 1
+        assert cuts.count == stats.windows
+
+
 def test_knowledge_roll_telemetry(neutrality_inputs):
     translator, sequences = neutrality_inputs
     with use_registry(MetricsRegistry()) as registry:
