@@ -8,9 +8,8 @@ reports per-backend throughput plus speedup over the serial reference
 (read from each run's own ``BatchTranslationResult``, so the numbers work
 with or without ``--benchmark-only``).
 
-Expected shape on an N-core machine: ``threads`` roughly flat (the phases
-are pure-Python CPU work holding the GIL), ``processes`` approaching N×
-on large batches once the pool fork + translator pickling is amortized.
+Expected shape on an N-core machine: ``processes`` approaching N× on
+large batches once the pool fork + translator pickling is amortized.
 
 Every run is asserted identical to the serial ``Translator.translate_batch``
 reference first; how fast the pipeline is end to end is the ledger's

@@ -5,7 +5,7 @@ Simulates a day of traffic at two buildings — a mall crowd and an office
 workforce — replays both as timestamp-ordered positioning feeds, and
 serves them through one LiveTranslationService instance: the window
 driver cuts each feed into 30-minute windows, round-robin across the
-feeds on the calling thread, a shared worker pool translates each
+feeds on the calling thread, the serial engine translates each
 window, and every window's PartialKnowledge shard folds into that venue's
 long-running knowledge — no rebuilds.
 
@@ -172,12 +172,12 @@ def main() -> None:
     for venue, records in feeds.items():
         print(f"{venue}: {len(records)} records")
 
-    # One service, one warm worker pool, two buildings.  Tagged feeds
+    # One service, one engine, two buildings.  Tagged feeds
     # skip per-record routing; a mixed feed would route by the
     # "<venue>:<device>" id prefix (see repro.live.dispatch).
     service = LiveTranslationService(
         translators,
-        EngineConfig(backend="threads", chunk_size=4),
+        EngineConfig(chunk_size=4),
         LiveConfig(
             window_seconds=WINDOW_SECONDS,
             snapshot_interval=args.snapshot_interval,
@@ -290,7 +290,7 @@ def main() -> None:
     for retention in specs:
         aged = LiveTranslationService(
             {"mall": Translator(mall)},
-            EngineConfig(backend="threads", chunk_size=4),
+            EngineConfig(chunk_size=4),
             LiveConfig(window_seconds=WINDOW_SECONDS),
             retention=retention,
         )

@@ -1,15 +1,14 @@
 #!/usr/bin/env python
 """Parallel batch translation with the engine.
 
-Simulates a mall crowd, then translates it three ways — the serial
-Translator, the engine's thread pool, and the engine's process pool —
-verifying that every path produces identical mobility semantics and
-printing each run's per-phase profile.  Then sets the engine's sharded
-knowledge barrier beside the serial translator's rebuild, runs the
-streaming path — the same records replayed through a
-RecordStream and translated without ever materializing the full batch —
-and finishes by folding a late window's PartialKnowledge into the
-existing knowledge incrementally.
+Simulates a mall crowd, then translates it two ways — the serial
+Translator and the engine's process pool — verifying that both paths
+produce identical mobility semantics and printing each run's per-phase
+profile.  Then sets the engine's sharded knowledge barrier beside the
+serial translator's rebuild, runs the streaming path — the same records
+replayed through a RecordStream and translated without ever
+materializing the full batch — and finishes by folding a late window's
+PartialKnowledge into the existing knowledge incrementally.
 
 Run:  python examples/parallel_batch.py
 """
@@ -48,17 +47,14 @@ def main() -> None:
     print("\n[serial translator]")
     print(serial.stats.format_table())
 
-    # The engine fans phase one/two out across a worker pool and merges
+    # The engine fans phase one/two out across a process pool and merges
     # results in input order — identical output, bounded by the hardware.
-    for backend in ("threads", "processes"):
-        engine = Engine(
-            translator, EngineConfig(backend=backend, chunk_size=4)
-        )
-        batch = engine.translate_batch(sequences)
-        identical = batch.results == serial.results
-        print(f"\n[engine backend={backend}] identical to serial: {identical}")
-        print(batch.stats.format_table())
-        print(f"  throughput: {batch.records_per_second:,.0f} records/s")
+    engine = Engine(translator, EngineConfig(backend="processes", chunk_size=4))
+    batch = engine.translate_batch(sequences)
+    identical = batch.results == serial.results
+    print(f"\n[engine backend=processes] identical to serial: {identical}")
+    print(batch.stats.format_table())
+    print(f"  throughput: {batch.records_per_second:,.0f} records/s")
 
     # The knowledge barrier: each engine phase-one worker emits its
     # chunk's PartialKnowledge, so the barrier only merges shard counts;
@@ -80,7 +76,7 @@ def main() -> None:
         key=lambda record: record.timestamp,
     )
     stream = RecordStream(iter(records))
-    engine = Engine(translator, EngineConfig(backend="threads", chunk_size=4))
+    engine = Engine(translator, EngineConfig(chunk_size=4))
     streamed = engine.translate_stream(
         sequence_stream(stream, window_seconds=2 * HOUR)
     )

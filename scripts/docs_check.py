@@ -13,7 +13,10 @@ CI runs this so the project documentation cannot rot silently:
 5. every ``--flag`` and ``TRIPS_*`` name those documents mention still
    occurs in the source it belongs to (the ``trips`` CLI under
    ``src/repro``, or a bench / example script the documents invoke), so
-   a removed switch cannot live on in the docs;
+   a removed switch cannot live on in the docs; likewise every
+   ``--backend NAME`` / ``backend="NAME"`` in those documents or in
+   ``examples/*.py`` names a backend registered in ``engine/backends.py``
+   (read with ``ast``, without importing the package);
 6. nothing under ``src/repro`` reads a ``TRIPS_*`` environment variable:
    behaviour is selected by arguments, never by the process environment;
 7. every ``tests/…py`` / ``benchmarks/…py`` path and every backticked
@@ -50,6 +53,9 @@ CODE_BLOCK = re.compile(r"```python\n(.*?)```", re.DOTALL)
 FLAG = re.compile(r"(?<![\w-])--[a-z][a-z0-9-]+")
 ENV_NAME = re.compile(r"\bTRIPS_[A-Z_]+\b")
 ENV_READ = re.compile(r"(?:environ|getenv)[^\"']{0,40}[\"'](TRIPS_[A-Z_]+)")
+BACKEND_NAME = re.compile(
+    r"(?<![\w-])--backend[ =]+([a-z]\w*)|\bbackend=[\"'](\w+)[\"']"
+)
 
 #: Python sources a documented flag or variable may belong to: the
 #: package first, then the scripts the documents tell readers to run.
@@ -110,6 +116,58 @@ def check_documents(problems: list[str]) -> None:
                 )
 
 
+def registered_backends() -> set[str]:
+    """The keys of ``engine/backends.py``'s ``BACKENDS``: each is a
+    backend class's ``name`` attribute, resolved from the syntax tree."""
+    tree = ast.parse(
+        (SRC / "engine" / "backends.py").read_text(encoding="utf-8")
+    )
+    class_names: dict[str, str] = {}
+    registry: ast.Dict | None = None
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for statement in node.body:
+                if (
+                    isinstance(statement, ast.Assign)
+                    and any(
+                        isinstance(target, ast.Name) and target.id == "name"
+                        for target in statement.targets
+                    )
+                    and isinstance(statement.value, ast.Constant)
+                ):
+                    class_names[node.name] = statement.value.value
+        elif (
+            isinstance(node, ast.AnnAssign)
+            and isinstance(node.target, ast.Name)
+            and node.target.id == "BACKENDS"
+        ):
+            registry = node.value
+    if registry is None:
+        return set()
+    return {class_names[key.value.id] for key in registry.keys}
+
+
+def check_backend_names(problems: list[str]) -> None:
+    known = registered_backends()
+    if not known:
+        problems.append("engine/backends.py: no BACKENDS registry found")
+        return
+    paths = [ROOT / relative for relative in DOCUMENTS]
+    paths += sorted((ROOT / "examples").glob("*.py"))
+    for path in paths:
+        if not path.exists():
+            continue  # reported by check_documents
+        text = path.read_text(encoding="utf-8")
+        for match in BACKEND_NAME.finditer(text):
+            name = match.group(1) or match.group(2)
+            if name not in known:
+                problems.append(
+                    f"{path.relative_to(ROOT)}: names backend {name!r}, "
+                    f"which is not registered "
+                    f"(known: {', '.join(sorted(known))})"
+                )
+
+
 def check_switches(problems: list[str]) -> None:
     sources = "\n".join(
         path.read_text(encoding="utf-8")
@@ -165,6 +223,7 @@ def main() -> int:
     check_docstrings(problems)
     check_documents(problems)
     check_switches(problems)
+    check_backend_names(problems)
     check_citations(problems)
     if problems:
         print("docs check FAILED:")

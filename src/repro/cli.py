@@ -201,7 +201,7 @@ def _add_engine_arguments(command, backend_help: str) -> None:
     :func:`_engine_config`."""
     command.add_argument(
         "--backend",
-        choices=("serial", "threads", "processes"),
+        choices=("processes", "serial"),
         default=None,
         help=f"{backend_help} (default: serial)",
     )
@@ -316,7 +316,7 @@ def _engine_config(args):
         if args.workers is not None or args.chunk_size is not None:
             raise ConfigError(
                 "--workers/--chunk-size tune an explicitly chosen engine; "
-                "name its --backend (serial, threads or processes) as well"
+                "name its --backend (serial or processes) as well"
             )
         return EngineConfig()
     kwargs = {"backend": args.backend, "workers": args.workers}

@@ -18,7 +18,6 @@ from .backends import (
     ProcessBackend,
     SerialBackend,
     SharedValue,
-    ThreadBackend,
     create_backend,
     default_worker_count,
     resolve_shared,
@@ -41,7 +40,6 @@ __all__ = [
     "ProcessBackend",
     "SerialBackend",
     "SharedValue",
-    "ThreadBackend",
     "create_backend",
     "default_worker_count",
     "iter_chunks",

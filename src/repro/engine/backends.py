@@ -7,13 +7,11 @@ shared read-only state (the :class:`~repro.core.Translator`); how it
 reaches each worker is the backend's business:
 
 - ``serial``     — no pool; runs inline on the caller's thread.
-- ``threads``    — a :class:`~concurrent.futures.ThreadPoolExecutor`
-  sharing the context directly.  Best when phase work releases the GIL
-  (numpy-heavy identifiers) or the workload is I/O bound.
 - ``processes``  — a :class:`~concurrent.futures.ProcessPoolExecutor`;
   the context is pickled once and installed per worker process via the
-  pool initializer, so per-task payloads stay small.  Best for the
-  pure-Python CPU-bound phases, which is most TRIPS workloads.
+  pool initializer, so per-task payloads stay small.  The phases are
+  pure-Python work holding the GIL, so a pool of processes is the only
+  pool that runs them in parallel.
 
 Mapping is windowed: at most ``workers * window_factor`` tasks are in
 flight at once, so a streaming input iterator is consumed incrementally
@@ -21,8 +19,8 @@ instead of being drained eagerly into the pool queue.
 
 Results come back unchanged: whatever the worker function returns is
 yielded to the caller as is.  :attr:`ExecutionBackend.remote` tells the
-caller whether payloads and results cross a process boundary: in-process
-backends share objects by reference, while across processes the engine
+caller whether payloads and results cross a process boundary: the serial
+backend shares objects by reference, while across processes the engine
 ships a phase-one chunk as ``RecordBatch`` columns and gets its output
 back in the phase-one codec plus its ``PartialKnowledge`` shard, never a
 record object.  On the ``processes`` backend both the submitted callable
@@ -38,7 +36,7 @@ exactly once, at pool startup.  Phase-specific state that only exists
 *after* a barrier — the batch's mobility knowledge — travels through
 :meth:`ExecutionBackend.share` instead: the caller publishes the value
 and embeds the returned :class:`SharedValue` token in its task payloads;
-workers resolve it with :func:`resolve_shared`.  On in-process backends
+workers resolve it with :func:`resolve_shared`.  On the serial backend
 the token is a registry key (nothing is copied); on the process backend
 the value is pickled **once**, keyed by a generation id, and each worker
 unpickles it at most once per generation (a small per-process cache).
@@ -54,7 +52,7 @@ import os
 import pickle
 from abc import ABC, abstractmethod
 from collections import OrderedDict, deque
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Callable, ClassVar, Iterable, Iterator, TypeVar
@@ -74,7 +72,7 @@ WINDOW_FACTOR = 4
 #: the process lifetime so a worker's cache can never confuse two values.
 _SHARE_KEYS = itertools.count(1)
 
-#: In-process registry backing "inproc" tokens (serial/thread backends).
+#: In-process registry backing "inproc" tokens (the serial backend).
 _INPROC_SHARED: dict[int, Any] = {}
 
 #: Worker-side cache of unpickled "pickled" tokens, keyed by generation.
@@ -90,7 +88,7 @@ class SharedValue:
 
     Embed the token in task payloads and call :func:`resolve_shared` in
     the worker function.  ``inproc`` tokens reference the caller's own
-    registry (serial/thread backends); ``pickled`` tokens carry the
+    registry (the serial backend); ``pickled`` tokens carry the
     pickled bytes, produced once, which each worker process unpickles at
     most once per generation ``key``.
     """
@@ -205,67 +203,6 @@ class SerialBackend(ExecutionBackend):
             yield fn(self._context, payload)
 
 
-class _PoolBackend(ExecutionBackend):
-    """Shared windowed-submission logic over a ``concurrent.futures`` pool."""
-
-    _pool: Executor | None = None
-
-    @abstractmethod
-    def _make_pool(self) -> Executor:
-        """Create the executor for this backend."""
-
-    def _submit_callable(
-        self, fn: Callable[[Any, P], R]
-    ) -> Callable[[P], R]:
-        """The single-argument callable actually submitted to the pool."""
-        context = self._context
-        return lambda payload: fn(context, payload)
-
-    def open(self, context: Any) -> None:
-        super().open(context)
-        if self._pool is None:
-            self._pool = self._make_pool()
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-        super().close()
-
-    def map(
-        self, fn: Callable[[Any, P], R], payloads: Iterable[P]
-    ) -> Iterator[R]:
-        if self._pool is None:
-            raise ConfigError(
-                f"backend {self.name!r} is not open; call open() first"
-            )
-        call = self._submit_callable(fn)
-        window = self.workers * WINDOW_FACTOR
-        pending: deque = deque()
-        iterator = iter(payloads)
-        try:
-            for payload in iterator:
-                pending.append(self._pool.submit(call, payload))
-                if len(pending) >= window:
-                    yield pending.popleft().result()
-            while pending:
-                yield pending.popleft().result()
-        finally:
-            for future in pending:
-                future.cancel()
-
-
-class ThreadBackend(_PoolBackend):
-    """Thread-pool execution sharing the context in memory."""
-
-    name = "threads"
-
-    def _make_pool(self) -> Executor:
-        return ThreadPoolExecutor(
-            max_workers=self.workers, thread_name_prefix="trips-engine"
-        )
-
-
 # -- process backend plumbing ------------------------------------------
 # The submitted callable must be picklable, so it is a module-level
 # function; the context travels once per worker through the initializer
@@ -282,7 +219,7 @@ def _call_in_process(fn: Callable[[Any, P], R], payload: P) -> R:
     return fn(_PROCESS_CONTEXT, payload)
 
 
-class ProcessBackend(_PoolBackend):
+class ProcessBackend(ExecutionBackend):
     """Process-pool execution; sidesteps the GIL for CPU-bound phases.
 
     ``remote``: every task and result is pickled, so the engine sends
@@ -292,25 +229,51 @@ class ProcessBackend(_PoolBackend):
 
     name = "processes"
     remote = True
+    _pool: ProcessPoolExecutor | None = None
 
-    def _make_pool(self) -> Executor:
+    def open(self, context: Any) -> None:
+        super().open(context)
+        if self._pool is not None:
+            return
         try:
-            blob = pickle.dumps(self._context)
+            blob = pickle.dumps(context)
         except Exception as exc:  # pragma: no cover - context-dependent
             raise ConfigError(
                 "the 'processes' backend requires a picklable translator "
                 f"(model + event model + config): {exc}"
             ) from exc
-        return ProcessPoolExecutor(
+        self._pool = ProcessPoolExecutor(
             max_workers=self.workers,
             initializer=_install_process_context,
             initargs=(blob,),
         )
 
-    def _submit_callable(
-        self, fn: Callable[[Any, P], R]
-    ) -> Callable[[P], R]:
-        return partial(_call_in_process, fn)
+    def close(self) -> None:
+        if self._pool is not None:
+            self._pool.shutdown(wait=True)
+            self._pool = None
+        super().close()
+
+    def map(
+        self, fn: Callable[[Any, P], R], payloads: Iterable[P]
+    ) -> Iterator[R]:
+        if self._pool is None:
+            raise ConfigError(
+                f"backend {self.name!r} is not open; call open() first"
+            )
+        call = partial(_call_in_process, fn)
+        window = self.workers * WINDOW_FACTOR
+        pending: deque = deque()
+        try:
+            for payload in payloads:
+                pending.append(self._pool.submit(call, payload))
+                if len(pending) >= window:
+                    yield pending.popleft().result()
+            while pending:
+                yield pending.popleft().result()
+        finally:
+            for future in pending:
+                future.cancel()
 
     def share(self, value: Any) -> SharedValue:
         """Pickle the value once; workers unpickle it once per generation.
@@ -344,7 +307,6 @@ class ProcessBackend(_PoolBackend):
 
 BACKENDS: dict[str, type[ExecutionBackend]] = {
     SerialBackend.name: SerialBackend,
-    ThreadBackend.name: ThreadBackend,
     ProcessBackend.name: ProcessBackend,
 }
 

@@ -189,7 +189,7 @@ def _phase_two_task(
     attaches to it (``run_phase_two_chunk`` → ``prime()``) is cached
     right alongside: a process worker compiles once on its first chunk
     and every later chunk of the same generation reuses the tables.
-    In-process backends share one knowledge object, so they share one
+    The serial backend shares one knowledge object, so it shares one
     compiled model the same way.  Returns ``(worker seconds,
     complements)``; like phase one, the timing crosses the process
     boundary on the result because workers have no shared registry.

@@ -1015,7 +1015,7 @@ class TestSessionBackedRepairs:
 
 
 # ----------------------------------------------------------------------
-# The locator cache under the threads backend
+# The locator cache under concurrent in-process callers
 # ----------------------------------------------------------------------
 def test_locator_cache_is_thread_safe(monkeypatch):
     """More venues than cache slots through concurrent workers: no

@@ -661,7 +661,7 @@ class TestStalenessProperty:
             assert_paths_identical(expected, answer)
 
     def test_racing_threads_compile_the_same_tables(self, two_shop_shared):
-        """Eight threads-backend workers hit one knowledge object a fold
+        """Eight threads hit one knowledge object a fold
         just staled: they may compile the generation more than once, but
         every model is the fresh compile and the last attach is current."""
         topology = two_shop_shared.topology
@@ -833,7 +833,7 @@ def test_live_finalize_matches_across_paths():
     def run(config):
         service = LiveTranslationService(
             {"shop": Translator(model, config=config)},
-            EngineConfig(backend="threads", workers=2, chunk_size=2),
+            EngineConfig(chunk_size=2),
             LiveConfig(window_seconds=window_seconds),
         )
         with service:

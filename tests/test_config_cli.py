@@ -1,5 +1,6 @@
 """Unit tests for the Configurator (task configs) and the CLI."""
 
+import argparse
 import json
 
 import pytest
@@ -202,7 +203,7 @@ class TestCli:
                 f"north={config_path}",
                 f"south={config_path}",
                 "--window-seconds", "7200",
-                "--backend", "threads",
+                "--backend", "serial",
                 "--workers", "2",
                 "--out", str(out),
             ]
@@ -385,6 +386,32 @@ class TestCli:
         for flag, value in (("--chunk-size", "4"), ("--workers", "2")):
             assert cli_main(["serve", str(config_path), flag, value]) == 1
             assert "--backend" in capsys.readouterr().err
+
+    def test_backend_choices_are_the_registry(self):
+        """``cli.py`` spells the choices out because it imports the engine
+        lazily; they must stay the registered backends."""
+        from repro.cli import _build_parser
+        from repro.engine import BACKENDS
+
+        commands = next(
+            action
+            for action in _build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        for command in ("translate", "serve"):
+            backend = next(
+                action
+                for action in commands.choices[command]._actions
+                if action.dest == "backend"
+            )
+            assert list(backend.choices) == sorted(BACKENDS)
+
+    @pytest.mark.parametrize("command", ["translate", "serve"])
+    def test_removed_threads_backend_is_refused(self, command, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main([command, "task.json", "--backend", "threads"])
+        assert exit_info.value.code != 0
+        assert "invalid choice: 'threads'" in capsys.readouterr().err
 
     def test_serve_defaults_to_the_serial_engine(
         self, task_workspace, capsys, monkeypatch

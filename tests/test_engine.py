@@ -29,7 +29,6 @@ from repro.engine import (
     ProcessBackend,
     SerialBackend,
     SharedValue,
-    ThreadBackend,
     create_backend,
     iter_chunks,
     partition,
@@ -51,6 +50,9 @@ from .conftest import (
 )
 
 ALL_BACKENDS = sorted(BACKENDS)
+IN_PROCESS_BACKENDS = [
+    name for name in ALL_BACKENDS if not BACKENDS[name].remote
+]
 
 
 @pytest.fixture(scope="module")
@@ -111,7 +113,7 @@ def test_engine_worker_counts(
 ):
     engine = Engine(
         shop_translator,
-        EngineConfig(backend="threads", workers=workers, chunk_size=2),
+        EngineConfig(backend="processes", workers=workers, chunk_size=2),
     )
     assert_batches_identical(
         engine.translate_batch(shop_sequences), shop_serial
@@ -136,10 +138,7 @@ def test_engine_matches_serial_mall_population(
 
 
 def test_engine_deterministic_across_runs(shop_translator, shop_sequences):
-    engine = Engine(
-        shop_translator,
-        EngineConfig(backend="threads", workers=3, chunk_size=2),
-    )
+    engine = Engine(shop_translator, EngineConfig(chunk_size=2))
     first = engine.translate_batch(shop_sequences)
     second = engine.translate_batch(shop_sequences)
     assert_batches_identical(first, second)
@@ -148,10 +147,7 @@ def test_engine_deterministic_across_runs(shop_translator, shop_sequences):
 def test_engine_streaming_matches_batch(
     shop_translator, shop_sequences, shop_serial
 ):
-    engine = Engine(
-        shop_translator,
-        EngineConfig(backend="threads", workers=2, chunk_size=2),
-    )
+    engine = Engine(shop_translator, EngineConfig(chunk_size=2))
     batch = engine.translate_stream(iter(shop_sequences))
     assert_batches_identical(batch, shop_serial)
 
@@ -167,9 +163,7 @@ def test_engine_empty_batch(shop_translator):
 
 
 def test_engine_single_sequence(shop_translator, shop_sequences, shop_serial):
-    engine = Engine(
-        shop_translator, EngineConfig(backend="threads", chunk_size=1)
-    )
+    engine = Engine(shop_translator, EngineConfig(chunk_size=1))
     batch = engine.translate_batch(shop_sequences[:1])
     assert batch.results == shop_serial.results[:1]
 
@@ -269,8 +263,7 @@ def test_sharded_streaming_duplicate_devices(shop_translator):
         )
 
     sharded = Engine(
-        shop_translator,
-        EngineConfig(backend="threads", workers=2, chunk_size=1),
+        shop_translator, EngineConfig(chunk_size=1)
     ).translate_stream(windowed())
     rebuild = shop_translator.translate_batch(list(windowed()))
     assert_batches_identical(sharded, rebuild)
@@ -382,7 +375,7 @@ def test_translate_increment_empty_window_still_folds(shop_translator):
 # ----------------------------------------------------------------------
 def test_engines_share_one_backend(shop_translator, shop_sequences, shop_serial):
     """Two engines (venue keys) interleave batches on one open pool."""
-    backend = create_backend("threads", workers=2)
+    backend = create_backend("processes", workers=2)
     backend.open({"east": shop_translator, "west": shop_translator})
     try:
         east = Engine(
@@ -405,7 +398,7 @@ def test_engines_share_one_backend(shop_translator, shop_sequences, shop_serial)
     for batch in (first, second, third):
         assert batch.results == shop_serial.results
         assert batch.knowledge == shop_serial.knowledge
-    assert first.stats.backend == "threads"
+    assert first.stats.backend == "processes"
 
 
 def test_process_pool_stays_warm_across_phases(shop_translator, shop_sequences):
@@ -429,7 +422,7 @@ def test_process_pool_stays_warm_across_phases(shop_translator, shop_sequences):
         backend.close()
 
 
-@pytest.mark.parametrize("backend_name", ["serial", "threads"])
+@pytest.mark.parametrize("backend_name", IN_PROCESS_BACKENDS)
 def test_share_and_release_inproc(backend_name):
     backend = create_backend(backend_name, workers=2)
     backend.open(None)
@@ -574,12 +567,12 @@ def test_a_wire_result_that_misfits_its_chunk_is_refused(
 def test_engine_stats_phases(shop_translator, shop_sequences):
     engine = Engine(
         shop_translator,
-        EngineConfig(backend="threads", workers=2, chunk_size=3),
+        EngineConfig(backend="serial", workers=2, chunk_size=3),
     )
     batch = engine.translate_batch(shop_sequences)
     stats = batch.stats
-    assert stats.backend == "threads"
-    assert stats.workers == 2
+    assert stats.backend == "serial"
+    assert stats.workers == 1  # serial validates a pool size, never uses it
     assert stats.chunk_size == 3
     assert stats.chunk_count == 3  # 7 sequences in chunks of 3
     assert [p.name for p in stats.phases] == [
@@ -592,7 +585,7 @@ def test_engine_stats_phases(shop_translator, shop_sequences):
     assert stats.total_seconds == pytest.approx(
         sum(p.seconds for p in stats.phases)
     )
-    assert "threads" in stats.format_table()
+    assert "serial" in stats.format_table()
     with pytest.raises(KeyError):
         stats.phase("no-such-phase")
 
@@ -685,6 +678,11 @@ def test_engine_config_validation():
     with pytest.raises(ConfigError):
         EngineConfig(chunk_size=0)
     assert EngineConfig().chunk_size == DEFAULT_CHUNK_SIZE
+    # Serial runs in process; ``processes`` is the only pool.
+    with pytest.raises(
+        ConfigError, match=r"'threads' \(known: processes, serial\)"
+    ):
+        EngineConfig(backend="threads")
 
 
 def test_engine_config_surface():
@@ -712,23 +710,33 @@ def test_create_backend_registry():
     with pytest.raises(ConfigError):
         create_backend("bogus")
     with pytest.raises(ConfigError):
-        create_backend("threads", workers=0)
+        create_backend("processes", workers=0)
+
+
+# Pool workers receive the submitted function by pickle, so it must be a
+# module-level function, not a lambda.
+def _double(context, payload):
+    return payload * 2
+
+
+def _with_context(context, payload):
+    return (context, payload)
 
 
 def test_pool_backend_requires_open():
-    backend = ThreadBackend(workers=2)
+    backend = ProcessBackend(workers=2)
     with pytest.raises(ConfigError):
-        list(backend.map(lambda ctx, p: p, [1, 2]))
+        list(backend.map(_double, [1, 2]))
     backend.open(None)
-    assert list(backend.map(lambda ctx, p: p * 2, [1, 2, 3])) == [2, 4, 6]
+    assert list(backend.map(_double, [1, 2, 3])) == [2, 4, 6]
     backend.close()
 
 
 def test_backend_map_preserves_order():
-    backend = create_backend("threads", workers=4)
+    backend = create_backend("processes", workers=4)
     backend.open("ctx")
     payloads = list(range(50))
-    assert list(backend.map(lambda ctx, p: (ctx, p), payloads)) == [
+    assert list(backend.map(_with_context, payloads)) == [
         ("ctx", p) for p in payloads
     ]
     backend.close()

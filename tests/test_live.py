@@ -46,6 +46,9 @@ from .conftest import (
 )
 
 ALL_BACKENDS = sorted(BACKENDS)
+IN_PROCESS_BACKENDS = [
+    name for name in ALL_BACKENDS if not BACKENDS[name].remote
+]
 
 
 def reference_batches(records_by_venue, translators, window_seconds, **engine):
@@ -155,7 +158,7 @@ def test_serve_matches_reference(two_venues):
     emitted = []
     service = LiveTranslationService(
         two_venues,
-        EngineConfig(backend="threads", workers=2, chunk_size=2),
+        EngineConfig(chunk_size=2),
         LiveConfig(window_seconds=window_seconds),
     )
     with service:
@@ -226,7 +229,7 @@ def test_live_on_simulated_mall(mall3, population):
     window_seconds = 3600.0
     service = LiveTranslationService(
         {"mall": translator},
-        EngineConfig(backend="threads", workers=2, chunk_size=4),
+        EngineConfig(chunk_size=4),
         LiveConfig(window_seconds=window_seconds),
     )
     with service:
@@ -290,7 +293,7 @@ def test_live_layouts_finalize_identically(seed):
     translator = Translator(make_two_shop_dsm())
     service = LiveTranslationService(
         {"east": translator},
-        EngineConfig(backend="threads", workers=2, chunk_size=2),
+        EngineConfig(chunk_size=2),
         LiveConfig(window_seconds=120.0),
     )
     with service:
@@ -324,7 +327,7 @@ def finalize_through(driver, translators, feeds, backend, adaptive):
         return service.finalize()
 
 
-@pytest.mark.parametrize("backend", ["serial", "threads"])
+@pytest.mark.parametrize("backend", IN_PROCESS_BACKENDS)
 @pytest.mark.parametrize("adaptive", [False, True], ids=["fixed", "adaptive"])
 @pytest.mark.parametrize("tagged", [True, False], ids=["tagged", "untagged"])
 def test_drivers_finalize_identically(two_venues, backend, adaptive, tagged):

@@ -542,7 +542,7 @@ def neutrality_inputs():
 
 
 @pytest.mark.parametrize("baseline", ["objects", "columnar"])
-@pytest.mark.parametrize("backend", ["serial", "threads", "processes"])
+@pytest.mark.parametrize("backend", ["serial", "processes"])
 def test_translation_is_bit_identical_with_telemetry(
     neutrality_inputs, backend, baseline
 ):
@@ -586,7 +586,7 @@ def test_live_finalize_is_bit_identical_with_telemetry(neutrality_inputs):
 
         service = LiveTranslationService(
             {"shop": translator},
-            EngineConfig(backend="threads", chunk_size=2),
+            EngineConfig(chunk_size=2),
             LiveConfig(window_seconds=120.0),
         )
         with service:
