@@ -1,0 +1,87 @@
+#!/usr/bin/env python
+"""Regenerate or check the golden digests in ``tests/golden/digests.json``.
+
+Each golden case (``tests/golden/cases.py``) translates a seeded simulator
+feed; its digest is a SHA-256 over the canonical export of every result
+plus ``codec.encode(knowledge)``.  For every case this prints the counts
+(sequences, semantics, gaps filled) as committed and as computed now, and
+whether the digest matches.
+
+Usage (from the repository root)::
+
+    python scripts/golden_digests.py          # rewrite digests.json
+    python scripts/golden_digests.py --check  # exit 1 if any case drifted
+
+A regeneration changes what the reference outputs; say so in
+``CHANGES.md``, with the cases and counts this script printed.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
+
+from tests.golden.cases import CASES, DIGESTS_PATH, digest  # noqa: E402
+
+COUNTS = ("sequences", "semantics", "gaps_filled")
+
+
+def _counts(entry: dict | None) -> str:
+    if entry is None:
+        return "-"
+    return "/".join(str(entry[name]) for name in COUNTS)
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--check",
+        action="store_true",
+        help="compare with the committed digests instead of rewriting them",
+    )
+    args = parser.parse_args(argv)
+    committed = (
+        json.loads(DIGESTS_PATH.read_text(encoding="utf-8"))
+        if DIGESTS_PATH.exists()
+        else {}
+    )
+    fresh = {}
+    drifted = []
+    print(f"counts are {'/'.join(COUNTS)}")
+    print(f"{'case':<22} {'before':>12} {'after':>12}  digest")
+    for case in CASES:
+        before = committed.get(case.name)
+        after = fresh[case.name] = digest(case)
+        same = before == after
+        if not same:
+            drifted.append(case.name)
+        print(
+            f"{case.name:<22} {_counts(before):>12} {_counts(after):>12}  "
+            f"{'same' if same else 'CHANGED'}"
+        )
+    stale = sorted(set(committed) - set(fresh))
+    for name in stale:
+        print(f"{name:<22} {_counts(committed[name]):>12} {'-':>12}  REMOVED")
+    if args.check:
+        if drifted or stale:
+            print(
+                f"golden digests drifted: {', '.join(drifted + stale)}",
+                file=sys.stderr,
+            )
+            return 1
+        print(f"golden digests OK ({len(fresh)} cases)")
+        return 0
+    DIGESTS_PATH.write_text(
+        json.dumps(fresh, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+    )
+    print(f"wrote {DIGESTS_PATH.relative_to(ROOT)}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
