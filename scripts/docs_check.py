@@ -12,7 +12,8 @@ CI runs this so the project documentation cannot rot silently:
    may drift semantically, but they may not stop parsing;
 5. every ``--flag`` and ``TRIPS_*`` name those documents mention still
    occurs in the source it belongs to (the ``trips`` CLI under
-   ``src/repro``, or a bench / example script the documents invoke), so
+   ``src/repro``, or a bench, example or ``scripts/`` script the
+   documents invoke), so
    a removed switch cannot live on in the docs; likewise every
    ``--backend NAME`` / ``backend="NAME"`` in those documents or in
    ``examples/*.py`` names a backend registered in ``engine/backends.py``
@@ -59,7 +60,7 @@ BACKEND_NAME = re.compile(
 
 #: Python sources a documented flag or variable may belong to: the
 #: package first, then the scripts the documents tell readers to run.
-SWITCH_SOURCES = ("src/repro", "benchmarks", "examples")
+SWITCH_SOURCES = ("src/repro", "benchmarks", "examples", "scripts")
 #: Flags of third-party tools the documents invoke.
 FOREIGN_FLAGS = {"--benchmark-disable"}  # pytest-benchmark
 

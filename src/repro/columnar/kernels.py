@@ -23,10 +23,11 @@ overrides *only* the point-location / distance seam the profile
 * :class:`ColumnarSpatialMatcher` — ``SpatialMatcher`` whose single
   point-location hook resolves through the session's primary-region memo;
   voting, tie-breaks and coverage run in the inherited code.
-* :func:`accumulate_partial` — dwell/edge accumulation into
+* :func:`accumulate_partial` — dwell/edge accumulation into a sparse
   :class:`~repro.core.complementing.PartialKnowledge` over flattened
   triplet arrays, applying the same filter/visit/transition rules in the
-  same order as ``PartialKnowledge.from_sequences``.
+  same order as ``PartialKnowledge.from_sequences`` and creating a
+  region's stats entry on first touch, as ``_observe_sequence`` does.
 
 ``tests/test_columnar_equivalence.py`` proves the equivalence claim
 differentially for every kernel.
@@ -47,7 +48,7 @@ from ..core.cleaning.speed import SpeedValidator
 from ..core.annotation.spatial import SpatialMatcher
 from ..core.annotation.splitting import DensitySplitter
 from ..core.complementing import PartialKnowledge
-from ..core.complementing.knowledge import DEFAULT_TRANSITION_GAP
+from ..core.complementing.knowledge import DEFAULT_TRANSITION_GAP, region_entry
 from ..core.semantics import EVENT_STAY, MobilitySemanticsSequence
 from ..dsm import DigitalSpaceModel, Topology
 from ..geometry import Point
@@ -329,7 +330,9 @@ def accumulate_partial(
                 ends.append(time_range.end)
                 stays.append(triplet.event == EVENT_STAY)
         for k in range(len(region_ids)):
-            stats[region_ids[k]].add_visit(ends[k] - starts[k], stays[k])
+            region_entry(stats, region_ids[k]).add_visit(
+                ends[k] - starts[k], stays[k]
+            )
         for k in range(len(region_ids) - 1):
             gap = starts[k + 1] - ends[k]
             if gap > max_transition_gap:

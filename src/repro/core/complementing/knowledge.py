@@ -255,6 +255,17 @@ class RegionStats:
         )
 
 
+def region_entry(stats: dict[str, RegionStats], region: str) -> RegionStats:
+    """``stats[region]``, created empty on first touch (sparse shards).
+
+    Callers add into the fresh entry, never copy one in, so its
+    :class:`ExactSum` walks the states a pre-allocated entry would."""
+    entry = stats.get(region)
+    if entry is None:
+        entry = stats[region] = RegionStats()
+    return entry
+
+
 def _observe_sequence(
     sequence: MobilitySemanticsSequence,
     region_set: set[str],
@@ -271,7 +282,7 @@ def _observe_sequence(
     """
     semantics = [s for s in sequence if s.region_id in region_set]
     for triplet in semantics:
-        stats[triplet.region_id].add_visit(
+        region_entry(stats, triplet.region_id).add_visit(
             triplet.duration, triplet.event == EVENT_STAY
         )
     for current, following in zip(semantics, semantics[1:]):
@@ -308,7 +319,7 @@ def _add_counts(
         outgoing_totals[origin] = outgoing_totals.get(origin, 0) + total
     for region, shard_stats in source.stats.items():
         if not shard_stats.is_empty:
-            stats[region].add(shard_stats)
+            region_entry(stats, region).add(shard_stats)
     return source.sequences_seen
 
 
@@ -320,12 +331,13 @@ def _subtract_counts(
 ) -> int:
     """Element-wise remove a shard's raw counts from target aggregates.
 
-    The exact inverse of :func:`_add_counts`: entries that reach zero are
-    pruned, so the post-subtraction aggregates are *structurally*
+    The exact inverse of :func:`_add_counts`: transition and outgoing
+    entries that reach zero are pruned, so those dicts are *structurally*
     identical — not merely numerically — to aggregates that never folded
-    the shard (dataclass equality compares the dicts).  Counts are
-    validated up front and the target is untouched on failure, so a
-    shard that was never folded cannot half-corrupt the aggregates.
+    the shard; region stats stay at zero, which equality reads as a
+    missing entry.  Counts are validated up front (a visited region the
+    target has no entry for included) and the target is untouched on
+    failure, so a shard that was never folded cannot half-corrupt it.
     """
     for origin, outgoing in source.transitions.items():
         destinations = transitions.get(origin, {})
@@ -346,10 +358,15 @@ def _subtract_counts(
     visited = [
         (region, shard_stats)
         for region, shard_stats in source.stats.items()
-        if not shard_stats.is_empty and region in stats
+        if not shard_stats.is_empty
     ]
     for region, shard_stats in visited:
-        target = stats[region]
+        target = stats.get(region)
+        if target is None:
+            raise InferenceError(
+                "cannot subtract a knowledge shard that was never folded "
+                f"(region {region!r} has no stats to subtract from)"
+            )
         if (
             shard_stats.visits > target.visits
             or shard_stats.stay_count > target.stay_count
@@ -393,7 +410,9 @@ class PartialKnowledge:
 
     The shard is a plain picklable dataclass, so the engine's process
     backend can build one per chunk in a worker and ship it back to the
-    caller for the O(#regions + #edges) barrier merge.
+    caller for the O(#regions + #edges) barrier merge.  ``stats`` is
+    sparse: a region has an entry only once something touched it, so a
+    window's shard costs what the window visited, not the vocabulary.
     """
 
     regions: list[str]
@@ -407,8 +426,23 @@ class PartialKnowledge:
             raise InferenceError("partial knowledge needs a region vocabulary")
         self.regions = sorted(set(self.regions))
         self._region_set = set(self.regions)
-        for region in self.regions:
-            self.stats.setdefault(region, RegionStats())
+
+    def __eq__(self, other: object) -> bool:
+        """Field equality, reading a missing region entry as empty, so a
+        sparse shard equals its dense twin (decoded, ``to_partial()``)."""
+        if not isinstance(other, PartialKnowledge):
+            return NotImplemented
+        empty = RegionStats()
+        return (
+            self.regions == other.regions
+            and self.transitions == other.transitions
+            and self.outgoing_totals == other.outgoing_totals
+            and self.sequences_seen == other.sequences_seen
+            and all(
+                self.stats.get(region, empty) == other.stats.get(region, empty)
+                for region in self.regions
+            )
+        )
 
     @classmethod
     def from_sequences(

@@ -136,9 +136,11 @@ def _encode_partial(partial: PartialKnowledge) -> dict:
             for origin, outgoing in partial.transitions.items()
         },
         "outgoing": dict(partial.outgoing_totals),
+        # Dense, in vocabulary order: an in-memory shard only holds the
+        # regions it touched, and the wire form must not depend on that.
         "stats": {
-            region: _encode_stats(stats)
-            for region, stats in partial.stats.items()
+            region: _encode_stats(partial.stats.get(region) or RegionStats())
+            for region in partial.regions
         },
         "sequences": partial.sequences_seen,
     }

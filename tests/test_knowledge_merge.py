@@ -10,6 +10,7 @@ rounded result.  Durations here are adversarial floats on purpose: plain
 
 from __future__ import annotations
 
+import json
 import math
 import pickle
 
@@ -276,3 +277,109 @@ class TestExactSum:
         merged.add(a)
         merged.add(RegionStats())
         assert merged == a
+
+
+def dense_twin(partial: PartialKnowledge) -> PartialKnowledge:
+    """The same shard with an entry for every vocabulary region."""
+    stats = {
+        region: partial.stats[region].copy()
+        if region in partial.stats
+        else RegionStats()
+        for region in partial.regions
+    }
+    return PartialKnowledge(
+        regions=list(partial.regions),
+        transitions={o: dict(d) for o, d in partial.transitions.items()},
+        outgoing_totals=dict(partial.outgoing_totals),
+        stats=stats,
+        sequences_seen=partial.sequences_seen,
+    )
+
+
+class TestSparseShard:
+    """A shard holds stats only for the regions it touched, and every
+    observable — equality, the algebra, the wire form — is the dense one."""
+
+    def test_a_fresh_shard_allocates_no_stats(self):
+        assert PartialKnowledge(regions=REGIONS).stats == {}
+
+    @settings(max_examples=25, deadline=None)
+    @given(corpora)
+    def test_missing_entry_equals_zero_entry(self, corpus):
+        sparse = PartialKnowledge.from_sequences(corpus, REGIONS)
+        assert set(sparse.stats) <= set(REGIONS)
+        twin = dense_twin(sparse)
+        assert set(twin.stats) == set(REGIONS)
+        assert sparse == twin
+        assert twin == sparse
+        assert PartialKnowledge(regions=REGIONS) == dense_twin(
+            PartialKnowledge(regions=REGIONS)
+        )
+
+    def test_a_missing_entry_differs_from_a_visited_one(self):
+        visited = RegionStats()
+        visited.add_visit(30.0, stay=True)
+        assert PartialKnowledge(regions=REGIONS) != PartialKnowledge(
+            regions=REGIONS, stats={REGIONS[0]: visited}
+        )
+
+    @settings(max_examples=25, deadline=None)
+    @given(corpora, corpora)
+    def test_add_then_subtract_equals_never_adding(self, base, extra):
+        shard = PartialKnowledge.from_sequences(base, REGIONS)
+        before = dense_twin(shard)
+        other = PartialKnowledge.from_sequences(extra, REGIONS)
+        shard.add(other)
+        shard.subtract(other)
+        assert shard == before
+        empty = PartialKnowledge(regions=REGIONS)
+        empty.add(other)
+        empty.subtract(other)
+        assert empty == PartialKnowledge(regions=REGIONS)
+
+    def test_subtracting_an_unvisited_region_names_it(self):
+        def visit(region):
+            semantic = MobilitySemantic(
+                EVENT_STAY, region, region, TimeRange(0.0, 60.0)
+            )
+            return MobilitySemanticsSequence("dev", [semantic])
+
+        target = PartialKnowledge.from_sequences([visit("r-cafe")], REGIONS)
+        before = dense_twin(target)
+        source = PartialKnowledge.from_sequences([visit("r-gym")], REGIONS)
+        with pytest.raises(InferenceError, match="'r-gym'"):
+            target.subtract(source)
+        assert target == before
+        assert "r-gym" not in target.stats
+
+    @settings(max_examples=25, deadline=None)
+    @given(corpora)
+    def test_encoding_is_the_dense_twins_byte_for_byte(self, corpus):
+        from repro.durability import decode, encode
+
+        sparse = PartialKnowledge.from_sequences(corpus, REGIONS)
+        wire = json.dumps(encode(sparse))
+        assert wire == json.dumps(encode(dense_twin(sparse)))
+        assert MobilityKnowledge.from_partials([sparse]).to_partial() == sparse
+        decoded = decode(json.loads(wire))
+        assert decoded == sparse
+        assert set(decoded.stats) == set(REGIONS)
+
+    def test_one_window_shard_pickles_smaller_than_its_dense_twin(self):
+        vocabulary = [f"r-{index:02d}" for index in range(48)]
+        window = MobilitySemanticsSequence(
+            "dev",
+            [
+                MobilitySemantic(
+                    EVENT_STAY, "r-03", "r-03", TimeRange(0.0, 90.0)
+                ),
+                MobilitySemantic(
+                    EVENT_PASS_BY, "r-17", "r-17", TimeRange(95.0, 110.0)
+                ),
+            ],
+        )
+        sparse = PartialKnowledge.from_sequences([window], vocabulary)
+        assert sorted(sparse.stats) == ["r-03", "r-17"]
+        dense = dense_twin(sparse)
+        assert pickle.loads(pickle.dumps(sparse)) == dense
+        assert len(pickle.dumps(sparse)) < len(pickle.dumps(dense)) / 2
