@@ -44,11 +44,11 @@ from .locate import PointLocator
 #: entry exists — the identity guard below is pure belt and braces.
 _locators: "OrderedDict[int, PointLocator]" = OrderedDict()
 _MAX_LOCATORS = 8
-#: A sharded cluster's driver threads run in-process shards' phase one
-#: concurrently: lookup, insert and evict are one critical section, so an
-#: eviction cannot land between another thread's ``get`` and
-#: ``move_to_end``, and a model gets exactly one locator however many
-#: threads ask for it first.
+#: No caller in the package is concurrent; for a library user's threads,
+#: lookup, insert and evict are one critical section, so an eviction
+#: cannot land between another thread's ``get`` and ``move_to_end``,
+#: and a model gets exactly one locator however many threads ask for it
+#: first.
 _locators_lock = threading.Lock()
 
 

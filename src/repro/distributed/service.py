@@ -5,8 +5,11 @@ One :class:`ShardedIngestService` owns N independent
 warm worker pool and per-venue knowledge stores — plus one
 :class:`~repro.distributed.KnowledgeExchange`.  Every cluster window is
 partitioned across the shards by a device-stable
-:class:`~repro.distributed.ShardRouter` and the shards translate their
-slices **concurrently**; every ``exchange_interval`` cluster windows the
+:class:`~repro.distributed.ShardRouter`.  The window driver begins the
+next cluster window — every shard's phase one on that shard's own pool —
+before it finishes this one shard by shard on the calling thread, so the
+pools clean and annotate while the caller folds, complements and
+exchanges; every ``exchange_interval`` cluster windows the
 exchange reconciles the shards' knowledge through the exact shard
 algebra, so each shard's complementing prior converges to the
 single-instance fold (bit for bit) at every exchange round.
@@ -23,7 +26,6 @@ never the aggregates themselves.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Mapping
@@ -42,7 +44,7 @@ from ..knowledge import RetentionPolicy, Unbounded, parse_retention
 from ..live import LiveConfig, LiveStats, LiveTranslationService
 from ..live.dispatch import Router
 from ..live.ingest import run_feeds
-from ..live.service import LiveWindowResult
+from ..live.service import LiveWindowResult, _BegunWindow
 from ..positioning import RawPositioningRecord, RecordStream
 from .exchange import ExchangeRound, ExchangeStats, KnowledgeExchange
 from .router import ShardRouter, parse_shard_router, shard_records
@@ -159,7 +161,7 @@ class ShardedIngestService:
     worker pool, own per-venue knowledge stores); the cluster cuts
     windows off the feed, partitions each window's records per shard
     (``shard_router``: device-hash by default, venue-affine or custom),
-    drives the shard windows concurrently, and every
+    finishes the shard windows one after another, and every
     ``exchange_interval`` cluster windows reconciles knowledge through
     the :class:`~repro.distributed.KnowledgeExchange`
     (``exchange_interval=None`` disables the automatic rounds;
@@ -220,7 +222,7 @@ class ShardedIngestService:
             for index in range(shards)
         ]
         self.live_config = self.shards[0].live_config
-        self._driver: ThreadPoolExecutor | None = None
+        self._open = False
         self._windows = 0
         self._since_exchange = 0
         self._started: float | None = None
@@ -230,17 +232,13 @@ class ShardedIngestService:
     # Lifecycle
     # ------------------------------------------------------------------
     def open(self) -> "ShardedIngestService":
-        """Open every shard's pool plus the cluster's driver threads.
+        """Open every shard's pool.
 
         When a shard's or the cluster's recovery refuses the state
         directory, everything already opened is closed again before the
         error propagates.
         """
-        if self._driver is None:
-            self._driver = ThreadPoolExecutor(
-                max_workers=len(self.shards),
-                thread_name_prefix="trips-shard",
-            )
+        self._open = True
         try:
             for shard in self.shards:
                 shard.open()  # each shard recovers from its own journal
@@ -254,11 +252,9 @@ class ShardedIngestService:
 
     def close(self) -> None:
         """Tear every shard down; accumulated state is kept."""
+        self._open = False
         for shard in self.shards:
             shard.close()
-        if self._driver is not None:
-            self._driver.shutdown(wait=True)
-            self._driver = None
 
     def __enter__(self) -> "ShardedIngestService":
         return self.open()
@@ -267,7 +263,7 @@ class ShardedIngestService:
         self.close()
 
     def _ensure_open(self) -> None:
-        if self._driver is None:
+        if not self._open:
             self.open()
 
     # ------------------------------------------------------------------
@@ -357,19 +353,28 @@ class ShardedIngestService:
         records: list[RawPositioningRecord],
         venue_id: str | None = None,
     ) -> ClusterWindowResult:
-        """Translate one cluster window across the shards, concurrently.
+        """Translate one cluster window across the shards.
 
         The window's records partition per shard (device-stable, order-
-        preserving); each receiving shard runs an ordinary live-service
-        window on the cluster's driver threads, so the shards' own
-        worker pools overlap.  A venue-tagged window routes wholesale
-        when the router pins venues (``shard_of_venue``, e.g.
+        preserving) and each receiving shard runs an ordinary live-service
+        window.  A venue-tagged window routes wholesale when the router
+        pins venues (``shard_of_venue``, e.g.
         :class:`~repro.distributed.VenueAffineRouter`) — the tag is the
         venue key, so tagged feeds pin without per-record hashing.  When
         the automatic exchange interval elapses, an exchange round runs
         after the window — between windows, so shards are quiescent
-        while knowledge moves.
+        while knowledge moves.  The window driver calls
+        :meth:`_begin_window` and :meth:`_finish_window` one window apart.
         """
+        return self._finish_window(self._begin_window(records, venue_id))
+
+    def _begin_window(
+        self,
+        records: list[RawPositioningRecord],
+        venue_id: str | None = None,
+    ) -> _BegunWindow:
+        """Route the window and begin every receiving shard's window
+        (``parts`` holds them by shard index)."""
         self._ensure_open()
         started = time.perf_counter()
         if self._started is None:
@@ -387,15 +392,37 @@ class ShardedIngestService:
             routed = shard_records(
                 records, self.shard_router, len(self.shards)
             )
-        futures = {
-            index: self._driver.submit(
-                self.shards[index].process_window, shard_batch, venue_id
-            )
-            for index, shard_batch in routed.items()
-        }
-        shard_windows = {
-            index: future.result() for index, future in futures.items()
-        }
+        begun = _BegunWindow(len(records))
+        try:
+            for index, shard_batch in routed.items():
+                begun.parts[index] = self.shards[index]._begin_window(
+                    shard_batch, venue_id
+                )
+        except BaseException:
+            self._abandon_window(begun)
+            raise
+        begun.seconds = time.perf_counter() - started
+        return begun
+
+    def _abandon_window(self, begun: _BegunWindow) -> None:
+        for index, shard_begun in begun.parts.items():
+            self.shards[index]._abandon_window(shard_begun)
+
+    def _finish_window(self, begun: _BegunWindow) -> ClusterWindowResult:
+        """Finish the shards' windows one after another on the calling
+        thread, then run the exchange round the interval asks for.  A
+        failing shard abandons the shards after it, so no shard window
+        completes once the error is on its way."""
+        started = time.perf_counter()
+        shard_windows: dict[int, LiveWindowResult] = {}
+        try:
+            for index, shard_begun in begun.parts.items():
+                shard_windows[index] = self.shards[index]._finish_window(
+                    shard_begun
+                )
+        except BaseException:
+            self._abandon_window(begun)
+            raise
         self._windows += 1
         self._since_exchange += 1
         round_result: ExchangeRound | None = None
@@ -410,8 +437,8 @@ class ShardedIngestService:
         return ClusterWindowResult(
             index=self._windows - 1,
             shards=shard_windows,
-            records=len(records),
-            elapsed_seconds=finished - started,
+            records=begun.records,
+            elapsed_seconds=begun.seconds + (finished - started),
             exchange=round_result,
         )
 
@@ -520,11 +547,7 @@ class ShardedIngestService:
         """
         self._ensure_open()
         self.exchange_now()
-        finalized_per_shard = list(
-            self._driver.map(
-                lambda shard: shard.finalize(), self.shards
-            )
-        )
+        finalized_per_shard = [shard.finalize() for shard in self.shards]
         combined: dict[str, BatchTranslationResult] = {}
         for venue_id in self.shards[0].dispatcher.venue_ids:
             results: list[TranslationResult] = []

@@ -1,9 +1,9 @@
 """Pluggable execution backends for the batch engine.
 
-A backend owns the worker pool and exposes one operation: map a pure
+A backend owns the worker pool and exposes one operation: submit a pure
 worker function ``fn(context, payload) -> result`` over an iterable of
-payloads, yielding results **in submission order**.  The context is the
-shared read-only state (the :class:`~repro.core.Translator`); how it
+payloads, its results read back **in submission order**.  The context is
+the shared read-only state (the :class:`~repro.core.Translator`); how it
 reaches each worker is the backend's business:
 
 - ``serial``     — no pool; runs inline on the caller's thread.
@@ -13,9 +13,10 @@ reaches each worker is the backend's business:
   pure-Python work holding the GIL, so a pool of processes is the only
   pool that runs them in parallel.
 
-Mapping is windowed: at most ``workers * window_factor`` tasks are in
-flight at once, so a streaming input iterator is consumed incrementally
-instead of being drained eagerly into the pool queue.
+Every payload goes to the pool at once, and the caller can work while
+the pool runs (the live window driver begins window k+1's phase one
+before it finishes window k); :meth:`~ExecutionBackend.map` is a submit
+read back straight away.  In process nothing runs until it is read.
 
 Results come back unchanged: whatever the worker function returns is
 yielded to the caller as is.  :attr:`ExecutionBackend.remote` tells the
@@ -51,8 +52,8 @@ import itertools
 import os
 import pickle
 from abc import ABC, abstractmethod
-from collections import OrderedDict, deque
-from concurrent.futures import ProcessPoolExecutor
+from collections import OrderedDict
+from concurrent.futures import Future, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Callable, ClassVar, Iterable, Iterator, TypeVar
@@ -61,10 +62,6 @@ from ..errors import ConfigError
 
 P = TypeVar("P")
 R = TypeVar("R")
-
-#: In-flight task window per worker; bounds memory on streaming inputs
-#: while keeping every worker saturated.
-WINDOW_FACTOR = 4
 
 
 # -- shared per-phase values -------------------------------------------
@@ -116,6 +113,23 @@ def resolve_shared(token: SharedValue) -> Any:
         while len(_PICKLED_CACHE) > _PICKLED_CACHE_LIMIT:
             _PICKLED_CACHE.popitem(last=False)
     return value
+
+
+class Submitted:
+    """Tasks handed to a backend ahead of reading their results: iterate
+    once for them, in order, or :meth:`cancel` — queued tasks never
+    start, and running ones are waited out, so none outlives the call."""
+
+    def __init__(self, results: Iterator, futures: "list[Future]" = ()):
+        self._results, self._futures = results, list(futures)
+
+    def __iter__(self) -> Iterator:
+        return self._results
+
+    def cancel(self) -> None:
+        for future in self._futures:
+            future.cancel()
+        wait(self._futures)
 
 
 def default_worker_count() -> int:
@@ -176,10 +190,21 @@ class ExecutionBackend(ABC):
 
     # -- mapping --------------------------------------------------------
     @abstractmethod
+    def submit(
+        self, fn: Callable[[Any, P], R], payloads: Iterable[P]
+    ) -> Submitted:
+        """Hand ``fn(context, payload)`` for every payload to the pool
+        now; the :class:`Submitted` yields the results in order."""
+
     def map(
         self, fn: Callable[[Any, P], R], payloads: Iterable[P]
     ) -> Iterator[R]:
         """Apply ``fn(context, payload)`` to every payload, in order."""
+        submitted = self.submit(fn, payloads)
+        try:
+            yield from submitted
+        finally:
+            submitted.cancel()
 
 
 class SerialBackend(ExecutionBackend):
@@ -196,11 +221,10 @@ class SerialBackend(ExecutionBackend):
         super().__init__(workers=workers)
         self.workers = 1
 
-    def map(
+    def submit(
         self, fn: Callable[[Any, P], R], payloads: Iterable[P]
-    ) -> Iterator[R]:
-        for payload in payloads:
-            yield fn(self._context, payload)
+    ) -> Submitted:
+        return Submitted(fn(self._context, payload) for payload in payloads)
 
 
 # -- process backend plumbing ------------------------------------------
@@ -254,26 +278,16 @@ class ProcessBackend(ExecutionBackend):
             self._pool = None
         super().close()
 
-    def map(
+    def submit(
         self, fn: Callable[[Any, P], R], payloads: Iterable[P]
-    ) -> Iterator[R]:
+    ) -> Submitted:
         if self._pool is None:
             raise ConfigError(
                 f"backend {self.name!r} is not open; call open() first"
             )
         call = partial(_call_in_process, fn)
-        window = self.workers * WINDOW_FACTOR
-        pending: deque = deque()
-        try:
-            for payload in payloads:
-                pending.append(self._pool.submit(call, payload))
-                if len(pending) >= window:
-                    yield pending.popleft().result()
-            while pending:
-                yield pending.popleft().result()
-        finally:
-            for future in pending:
-                future.cancel()
+        futures = [self._pool.submit(call, payload) for payload in payloads]
+        return Submitted((future.result() for future in futures), futures)
 
     def share(self, value: Any) -> SharedValue:
         """Pickle the value once; workers unpickle it once per generation.

@@ -95,6 +95,7 @@ from ..telemetry import get_registry
 from .backends import (
     BACKENDS,
     ExecutionBackend,
+    Submitted,
     create_backend,
     resolve_shared,
 )
@@ -292,15 +293,16 @@ class Engine:
         self, sequences: Iterable[PositioningSequence]
     ) -> BatchTranslationResult:
         """Translate a batch; output is identical to the serial path."""
-        return self._run(partition(list(sequences), self.config.chunk_size))
+        return self._run(
+            self._begin(partition(list(sequences), self.config.chunk_size))
+        )
 
     def translate_stream(
         self, sequences: Iterable[PositioningSequence]
     ) -> BatchTranslationResult:
         """Translate a sequence iterator with lazy, chunked ingestion.
 
-        The input is consumed one chunk at a time as worker capacity frees
-        up (the backends keep a bounded submission window), so phase one
+        Each chunk goes to the pool as soon as it is cut, so phase one
         overlaps ingestion instead of waiting for the full batch.  The
         knowledge barrier still needs every phase-one result, so results
         accumulate until the input ends — the feed must be finite.  For
@@ -308,7 +310,9 @@ class Engine:
         :meth:`translate_increment` per window (or use
         :class:`repro.live.LiveTranslationService`).
         """
-        return self._run(iter_chunks(sequences, self.config.chunk_size))
+        return self._run(
+            self._begin(iter_chunks(sequences, self.config.chunk_size))
+        )
 
     def translate_increment(
         self,
@@ -341,11 +345,25 @@ class Engine:
         at end of stream (see ``LiveTranslationService.finalize``) to
         reproduce the one-shot batch output exactly.
         """
-        return self._run(
-            partition(list(sequences), self.config.chunk_size),
-            incremental=True,
-            store=store,
+        return self.finish_increment(
+            self.begin_increment(sequences), store=store
         )
+
+    def begin_increment(
+        self, sequences: Iterable[PositioningSequence]
+    ) -> "_PhaseOne":
+        """Start a window's phase one, which reads no knowledge, so it
+        may run while the caller finishes an earlier window: on a pool
+        every chunk goes to the workers now.  Pass the result to
+        :meth:`finish_increment`, or ``.cancel()`` it."""
+        return self._begin(partition(list(sequences), self.config.chunk_size))
+
+    def finish_increment(
+        self, begun: "_PhaseOne", *, store: KnowledgeStore | None
+    ) -> BatchTranslationResult:
+        """Collect a begun window's phase one, fold it into ``store`` and
+        complement it (see :meth:`translate_increment`)."""
+        return self._run(begun, incremental=True, store=store)
 
     def make_store(
         self, retention: "str | None" = None
@@ -442,20 +460,21 @@ class Engine:
             backend.release(token)
         return complements
 
-    def _map_phase_one(
-        self,
-        backend: ExecutionBackend,
-        chunks: Iterator[list[PositioningSequence]],
-    ) -> tuple[list[list[PositioningSequence]], list, list[PartialKnowledge]]:
-        """Fan phase one out; returns (consumed chunks, pairs, partials).
+    def _begin(
+        self, chunks: Iterator[list[PositioningSequence]]
+    ) -> "_PhaseOne":
+        """Hand every phase-one chunk to the backend; :meth:`_run_phases`
+        reads the results.
 
         The payload generator records every chunk it hands to the pool;
-        ``map()`` yields chunk results in the same submission order,
-        keeping the lists aligned for the deterministic input-order merge.
-        On a ``remote`` backend each chunk goes out as columns and each
-        result is decoded against its consumed chunk as it arrives, while
-        later chunks are still running.
+        results come back in the same submission order, keeping the
+        lists aligned for the deterministic input-order merge.  On a
+        ``remote`` backend each chunk goes out as columns.
         """
+        started = time.perf_counter()
+        backend, owns = self._backend()
+        if owns:
+            backend.open({self.context_key: self.translator})
         consumed: list[list[PositioningSequence]] = []
         key = self.context_key
         remote = backend.remote
@@ -468,43 +487,29 @@ class Engine:
                 else:
                     yield (key, chunk)
 
-        if remote:
-            phase_one_chunks = [
-                _from_wire(key, index, consumed[index], result)
-                for index, result in enumerate(
-                    backend.map(_phase_one_wire_task, payloads())
-                )
-            ]
-        else:
-            phase_one_chunks = list(backend.map(_phase_one_task, payloads()))
-        registry = get_registry()
-        if registry.enabled and phase_one_chunks:
-            # The workers' ride-along chunk timings.
-            histogram = registry.histogram(
-                "trips_engine_chunk_seconds", phase="one"
-            )
-            for chunk in phase_one_chunks:
-                if chunk.seconds is not None:
-                    histogram.observe(chunk.seconds)
-        pairs = [pair for chunk in phase_one_chunks for pair in chunk.pairs]
-        partials = [
-            chunk.partial
-            for chunk in phase_one_chunks
-            if chunk.partial is not None
-        ]
-        return consumed, pairs, partials
+        task = _phase_one_wire_task if remote else _phase_one_task
+        try:
+            results = backend.submit(task, payloads())
+        except BaseException:
+            if owns:
+                backend.close()
+            raise
+        return _PhaseOne(started, backend, owns, consumed, results)
 
     # ------------------------------------------------------------------
     def _run(
         self,
-        chunks: Iterator[list[PositioningSequence]],
+        begun: "_PhaseOne",
         incremental: bool = False,
         store: KnowledgeStore | None = None,
     ) -> BatchTranslationResult:
         registry = get_registry()
         mode = "incremental" if incremental else "batch"
-        with registry.trace("engine_run", mode=mode):
-            result = self._run_phases(chunks, incremental, store)
+        try:
+            with registry.trace("engine_run", mode=mode):
+                result = self._run_phases(begun, incremental, store)
+        finally:
+            begun.cancel()  # a no-op once every result has been read
         if registry.enabled:
             for phase in result.stats.phases:
                 registry.histogram(
@@ -518,56 +523,67 @@ class Engine:
 
     def _run_phases(
         self,
-        chunks: Iterator[list[PositioningSequence]],
+        begun: "_PhaseOne",
         incremental: bool,
         store: KnowledgeStore | None,
     ) -> BatchTranslationResult:
-        started = time.perf_counter()
-        backend, owns = self._backend()
-        # Captured up front: stats must not depend on reading the backend
-        # after close() has torn the pool down.
-        backend_name, backend_workers = backend.name, backend.workers
-        if owns:
-            backend.open({self.context_key: self.translator})
-        try:
-            consumed, phase_one, partials = self._map_phase_one(
-                backend, chunks
-            )
-            phase_one_done = time.perf_counter()
-
-            sequences = [s for chunk in consumed for s in chunk]
-            annotated = [
-                annotation.sequence for _, annotation in phase_one
+        key, consumed = self.context_key, begun.consumed
+        if begun.backend.remote:
+            # Each result is decoded against its consumed chunk as it
+            # arrives, while later chunks are still running.
+            phase_one_chunks = [
+                _from_wire(key, index, consumed[index], result)
+                for index, result in enumerate(begun.results)
             ]
+        else:
+            phase_one_chunks = list(begun.results)
+        registry = get_registry()
+        if registry.enabled and phase_one_chunks:
+            # The workers' ride-along chunk timings.
+            histogram = registry.histogram(
+                "trips_engine_chunk_seconds", phase="one"
+            )
+            for chunk in phase_one_chunks:
+                if chunk.seconds is not None:
+                    histogram.observe(chunk.seconds)
+        phase_one = [
+            pair for chunk in phase_one_chunks for pair in chunk.pairs
+        ]
+        partials = [
+            chunk.partial
+            for chunk in phase_one_chunks
+            if chunk.partial is not None
+        ]
+        phase_one_done = time.perf_counter()
 
-            # Barrier: merge the per-chunk shards the workers already
-            # aggregated — O(#regions + #edges) per chunk — into fresh
-            # batch knowledge, or (incremental mode) fold them into the
-            # store's long-running knowledge.
-            if incremental:
-                knowledge = self._fold_window(store, partials, sequences)
-            else:
-                knowledge = build_batch_knowledge(
-                    self.translator, partials=partials
-                )
-            knowledge_done = time.perf_counter()
+        sequences = [s for chunk in consumed for s in chunk]
+        annotated = [annotation.sequence for _, annotation in phase_one]
 
-            # Phase two: fan out complementing with the shared knowledge.
-            complements: list[ComplementResult] | None = None
-            if knowledge is not None:
-                complements = self._map_phase_two(
-                    backend, annotated, knowledge
-                )
-            finished = time.perf_counter()
-        finally:
-            if owns:
-                backend.close()
+        # Barrier: merge the per-chunk shards the workers already
+        # aggregated — O(#regions + #edges) per chunk — into fresh
+        # batch knowledge, or (incremental mode) fold them into the
+        # store's long-running knowledge.
+        if incremental:
+            knowledge = self._fold_window(store, partials, sequences)
+        else:
+            knowledge = build_batch_knowledge(
+                self.translator, partials=partials
+            )
+        knowledge_done = time.perf_counter()
+
+        # Phase two: fan out complementing with the shared knowledge.
+        complements: list[ComplementResult] | None = None
+        if knowledge is not None:
+            complements = self._map_phase_two(
+                begun.backend, annotated, knowledge
+            )
+        finished = time.perf_counter()
 
         results = assemble_results(sequences, phase_one, complements)
-        count = len(sequences)
+        count, started = len(sequences), begun.started
         stats = BatchStats(
-            backend=backend_name,
-            workers=backend_workers,
+            backend=begun.backend.name,
+            workers=begun.backend.workers,
             chunk_size=self.config.chunk_size,
             chunk_count=len(consumed),
             phases=(
@@ -607,3 +623,24 @@ class Engine:
         for partial in partials:
             store.fold(partial, start=start, end=end)
         return store.knowledge
+
+
+@dataclass
+class _PhaseOne:
+    """A phase one handed to its backend: ``results`` yields one result
+    per ``consumed`` chunk, in order; ``owns`` marks a pool the engine
+    opened for this run alone."""
+
+    started: float
+    backend: ExecutionBackend
+    owns: bool
+    consumed: list[list[PositioningSequence]]
+    results: Submitted
+
+    def cancel(self) -> None:
+        """Drop whatever has not been read (waiting out running tasks)
+        and close an owned pool."""
+        self.results.cancel()
+        if self.owns:
+            self.owns = False
+            self.backend.close()

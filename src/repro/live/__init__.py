@@ -17,8 +17,9 @@ is cut into consecutive windows bounded by time
 Every entry point — ``serve``, ``run_stream`` / ``run_feeds`` (here and
 on the sharded cluster) and ``trips serve`` — cuts through one sync
 loop on the calling thread, one window per live feed per pass, each
-window translated before the next is cut (see :mod:`repro.live.ingest`),
-so in-flight memory is one window and the cuts are deterministic.
+window's phase one begun before the previous window is finished (see
+:mod:`repro.live.ingest`), so in-flight memory is two windows and the
+cuts are deterministic.
 
 **Fold, don't rebuild.**  Every window runs through the engine's
 incremental path: phase one (clean + annotate) fans out across the

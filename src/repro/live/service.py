@@ -313,6 +313,17 @@ class _VenueState:
         return self.store.knowledge if self.store is not None else None
 
 
+@dataclass
+class _BegunWindow:
+    """A cut window, routed and begun.  ``parts`` maps each venue to its
+    records and its engine's begun phase one (in a sharded cluster, each
+    shard index to that shard's begun window)."""
+
+    records: int
+    parts: dict = field(default_factory=dict)
+    seconds: float = 0.0  # calling-thread seconds spent beginning it
+
+
 class LiveTranslationService:
     """Continuous windowed translation over one shared worker pool.
 
@@ -371,6 +382,7 @@ class LiveTranslationService:
         )
         self._recovered = False
         self._since_snapshot = 0
+        self._ahead: _BegunWindow | None = None  # begun, not finished
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -454,9 +466,21 @@ class LiveTranslationService:
         after the fold the venue's store rolls, and its retention policy
         may retire or discount old epochs (default unbounded retention
         retires nothing — the pre-lifecycle behaviour, bit for bit).
+
+        It is :meth:`_finish_window` of :meth:`_begin_window`; the window
+        driver calls the two apart, one window ahead.
         """
+        return self._finish_window(self._begin_window(records, venue_id))
+
+    def _begin_window(
+        self,
+        records: list[RawPositioningRecord],
+        venue_id: str | None = None,
+    ) -> "_BegunWindow":
+        """Route and group one window and begin its phase one.  Nothing
+        here touches knowledge, journal or counters, so it may run
+        before the previous window is finished."""
         self._ensure_open()
-        registry = get_registry()
         started = time.perf_counter()
         if self._started is None:
             self._started = started
@@ -465,18 +489,44 @@ class LiveTranslationService:
             routed = {venue_id: records} if records else {}
         else:
             routed = self.dispatcher.split(records)
+        begun = _BegunWindow(len(records))
+        try:
+            for vid, venue_records in routed.items():
+                sequences = PositioningSequence.group_records(venue_records)
+                begun.parts[vid] = (
+                    venue_records,
+                    self._states[vid].engine.begin_increment(sequences),
+                )
+        except BaseException:
+            self._abandon_window(begun)
+            raise
+        begun.seconds = time.perf_counter() - started
+        self._ahead = begun
+        return begun
 
+    def _abandon_window(self, begun: "_BegunWindow") -> None:
+        """Drop a begun window that will not be finished."""
+        for _, phase_one in begun.parts.values():
+            phase_one.cancel()
+        if self._ahead is begun:
+            self._ahead = None
+
+    def _finish_window(self, begun: "_BegunWindow") -> LiveWindowResult:
+        """Fold, roll, complement, count and journal a begun window."""
+        registry = get_registry()
+        started = time.perf_counter()
+        if self._ahead is begun:
+            self._ahead = None
         window_batches: dict[str, BatchTranslationResult] = {}
         journal_venues: list[dict] = []
-        for vid, venue_records in routed.items():
+        for vid, (venue_records, phase_one) in begun.parts.items():
             state = self._states[vid]
-            sequences = PositioningSequence.group_records(venue_records)
             venue_started = time.perf_counter()
             with registry.trace("live_window", venue=vid):
                 if not state.store_checked:
                     self._create_store(state)
-                batch = state.engine.translate_increment(
-                    sequences, store=state.store
+                batch = state.engine.finish_increment(
+                    phase_one, store=state.store
                 )
                 retired: list = []
                 if state.store is not None:
@@ -505,7 +555,10 @@ class LiveTranslationService:
                     registry.gauge(
                         "trips_knowledge_sequences", venue=vid
                     ).set(state.store.knowledge.sequences_seen)
-            self._observe_rate(state, venue_records)
+            if self.live_config.adaptive_windowing:
+                state.ewma_rate, state.stats.window_records_target = (
+                    self._observe_rate(state.ewma_rate, len(venue_records))
+                )
             if self._journal is not None:
                 journal_venues.append(
                     self._journal_venue_entry(
@@ -515,7 +568,7 @@ class LiveTranslationService:
             window_batches[vid] = batch
 
         finished = time.perf_counter()
-        elapsed = finished - started
+        elapsed = begun.seconds + (finished - started)
         self._windows += 1
         self._translate_seconds += elapsed
         self._elapsed = finished - self._started
@@ -531,7 +584,7 @@ class LiveTranslationService:
         return LiveWindowResult(
             index=self._windows - 1,
             venues=window_batches,
-            records=len(records),
+            records=begun.records,
             elapsed_seconds=elapsed,
         )
 
@@ -812,9 +865,10 @@ class LiveTranslationService:
         )
 
     def _observe_rate(
-        self, state: _VenueState, venue_records: list[RawPositioningRecord]
-    ) -> None:
-        """Fold one window's observed feed rate into the venue's EWMA.
+        self, ewma: float | None, records: int
+    ) -> tuple[float, int]:
+        """A venue's EWMA of records/sec and ``max_window_records``
+        target after one more window of ``records``.
 
         Adaptive windowing: the EWMA of records/sec predicts the records
         one ``window_seconds`` span will carry; double that
@@ -828,25 +882,19 @@ class LiveTranslationService:
         very bound that just fired).  A configured global
         ``max_window_records`` stays the hard ceiling.
         """
-        if not self.live_config.adaptive_windowing or not venue_records:
-            return
-        rate = len(venue_records) / self.live_config.window_seconds
-        alpha = self.live_config.adaptive_alpha
-        if state.ewma_rate is None:
-            state.ewma_rate = rate
-        else:
-            state.ewma_rate = alpha * rate + (1.0 - alpha) * state.ewma_rate
+        rate = records / self.live_config.window_seconds
+        if ewma is not None:
+            alpha = self.live_config.adaptive_alpha
+            rate = alpha * rate + (1.0 - alpha) * ewma
         target = max(
             ADAPTIVE_MIN_RECORDS,
             math.ceil(
-                state.ewma_rate
-                * self.live_config.window_seconds
-                * ADAPTIVE_HEADROOM
+                rate * self.live_config.window_seconds * ADAPTIVE_HEADROOM
             ),
         )
         if self.live_config.max_window_records is not None:
             target = min(target, self.live_config.max_window_records)
-        state.stats.window_records_target = target
+        return rate, target
 
     def window_bounds(
         self, venue_id: str | None = None
@@ -856,13 +904,20 @@ class LiveTranslationService:
         The time span is global; the record bound is the venue's
         adaptive target when adaptive windowing is on and the venue has
         been observed, else the global ``max_window_records``.  Consulted
-        before every cut by the window driver.
+        before every cut by the window driver.  A window begun but not
+        yet finished counts as observed, so the driver running one
+        window ahead cuts exactly what finishing each window first would.
         """
         config = self.live_config
         max_records = config.max_window_records
         if config.adaptive_windowing and venue_id is not None:
             state = self._states.get(venue_id)
-            if state is not None and state.stats.window_records_target:
+            ahead = self._ahead.parts if self._ahead is not None else {}
+            if venue_id in ahead:
+                _, max_records = self._observe_rate(
+                    state.ewma_rate, len(ahead[venue_id][0])
+                )
+            elif state is not None and state.stats.window_records_target:
                 max_records = state.stats.window_records_target
         return config.window_seconds, max_records
 

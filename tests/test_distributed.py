@@ -10,6 +10,7 @@ one-shot ``Engine.translate_batch`` knowledge once the feed has drained.
 
 from __future__ import annotations
 
+import time
 from dataclasses import replace
 
 import pytest
@@ -26,12 +27,14 @@ from repro.distributed import (
     shard_records,
     stable_hash,
 )
-from repro.engine import Engine, EngineConfig
+from repro.durability import encode
+from repro.engine import Engine, EngineConfig, ProcessBackend
 from repro.errors import ConfigError
 from repro.live import LiveConfig, LiveTranslationService
 from repro.positioning import RecordStream, sequence_stream, windowed_records
 
 from .conftest import dirty_shop_records, make_two_shop_dsm, shop_records
+from .test_live import fuzz_records
 
 WINDOW_SECONDS = 60.0
 
@@ -482,6 +485,158 @@ class TestConvergence:
                 store = shard.store("east")
                 if store is not None:
                     assert store.knowledge == merged
+
+
+# ----------------------------------------------------------------------
+# One window ahead
+# ----------------------------------------------------------------------
+class TestOneWindowAhead:
+    """The driver begins cluster window k+1 — every shard's phase one on
+    its own pool — before it finishes window k shard by shard."""
+
+    def test_failing_shard_window_leaves_no_sibling_running(
+        self, monkeypatch
+    ):
+        """Once a shard's window raises, no other shard's window of it
+        completes: the error reaches the caller with every shard idle."""
+
+        class Boom(RuntimeError):
+            pass
+
+        windows = windowed_records(
+            RecordStream(iter(shop_records())), WINDOW_SECONDS
+        )
+        cluster = make_cluster(shards=2, exchange_interval=None)
+        router = cluster.shard_router
+        with cluster:
+            shared = None
+            for window in windows:
+                if len(shard_records(window, router, 2)) == 2 and all(
+                    shard.store("east") for shard in cluster.shards
+                ):
+                    shared = window
+                    break
+                cluster.process_window(window, "east")
+            assert shared is not None
+
+            def boom(*args, **kwargs):
+                raise Boom("shard 0 failed")
+
+            sibling = cluster.shards[1].store("east")
+            roll = sibling.roll
+
+            def slow_roll(*args, **kwargs):
+                time.sleep(0.3)
+                return roll(*args, **kwargs)
+
+            monkeypatch.setattr(cluster.shards[0].store("east"), "fold", boom)
+            monkeypatch.setattr(sibling, "roll", slow_roll)
+            before = cluster.shards[1].stats.windows
+            with pytest.raises(Boom):
+                cluster.process_window(shared, "east")
+            time.sleep(0.5)
+            assert cluster.shards[1].stats.windows == before
+
+    def test_no_begun_phase_one_outlives_an_error(self, monkeypatch):
+        """Shard 0 fails while finishing a window: the window begun
+        behind it has every phase-one task cancelled or done by the time
+        the error surfaces, and ``close()`` leaves no pool process."""
+
+        class Boom(RuntimeError):
+            pass
+
+        submitted = []
+        submit = ProcessBackend.submit
+
+        def recording(self, fn, payloads):
+            handle = submit(self, fn, payloads)
+            submitted.append(handle)
+            return handle
+
+        monkeypatch.setattr(ProcessBackend, "submit", recording)
+        cluster = make_cluster(
+            shards=2,
+            engine_config=EngineConfig(
+                backend="processes", workers=1, chunk_size=2
+            ),
+        )
+        with cluster:
+            store = cluster.shards[0].ensure_store("east")
+            fold, folds = store.fold, []
+
+            def failing_fold(*args, **kwargs):
+                folds.append(None)
+                if len(folds) == 3:
+                    raise Boom("third fold")
+                return fold(*args, **kwargs)
+
+            monkeypatch.setattr(store, "fold", failing_fold)
+            with pytest.raises(Boom):
+                cluster.run_stream(
+                    RecordStream(iter(shop_records())), venue_id="east"
+                )
+            finished = sum(shard.stats.windows for shard in cluster.shards)
+            assert len(submitted) > finished + 1  # one window was ahead
+            assert all(
+                future.done()
+                for handle in submitted
+                for future in handle._futures
+            )
+            processes = [
+                process
+                for shard in cluster.shards
+                for process in shard._backend._pool._processes.values()
+            ]
+        assert processes and not any(p.is_alive() for p in processes)
+
+    def test_every_window_matches_the_serial_cluster(self):
+        """Two ``processes`` shards, an exchange round after every window,
+        a dirty feed with gaps: each window's semantics and complements,
+        and every shard's post-round knowledge, equal the ``serial``
+        cluster's — window by window, not only at ``finalize()``."""
+        records = sorted(
+            dirty_shop_records() + fuzz_records(2),
+            key=lambda r: (r.timestamp, r.device_id),
+        )
+        seen = {}
+        for backend in ("serial", "processes"):
+            cluster = make_cluster(
+                shards=2,
+                exchange_interval=1,
+                engine_config=EngineConfig(
+                    backend=backend, workers=1, chunk_size=2
+                ),
+                live_config=LiveConfig(window_seconds=300.0),
+            )
+            per_window = seen[backend] = []
+
+            def on_window(window, cluster=cluster, per_window=per_window):
+                per_window.append(
+                    (
+                        window.records,
+                        {
+                            index: shard.venues["east"].results
+                            for index, shard in window.shards.items()
+                        },
+                        [
+                            encode(shard.knowledge("east"))
+                            for shard in cluster.shards
+                        ],
+                    )
+                )
+
+            with cluster:
+                cluster.run_stream(
+                    RecordStream(iter(records)), "east", on_window
+                )
+        assert len(seen["serial"]) > 2
+        assert any(
+            result.complement.gaps_found
+            for _, shards, _ in seen["serial"]
+            for results in shards.values()
+            for result in results
+        )
+        assert seen["processes"] == seen["serial"]
 
 
 # ----------------------------------------------------------------------

@@ -14,6 +14,7 @@ re-runs phase one.
 from __future__ import annotations
 
 import json
+import threading
 
 import pytest
 from hypothesis import example, given, settings
@@ -956,8 +957,8 @@ class TestShardedRecovery:
     @pytest.mark.parametrize("refusal", ["shard", "cluster"])
     def test_refused_open_leaks_nothing(self, tmp_path, refusal):
         """A refusal by a later shard (after an earlier one opened) or by
-        the cluster's own recovery closes the driver threads and every
-        shard before the error propagates."""
+        the cluster's own recovery closes every shard before the error
+        propagates, and the cluster starts no thread of its own."""
         state_dir = tmp_path / "cluster"
         with self.make_cluster(state_dir) as cluster:
             for window in feed_windows()[:5]:
@@ -975,10 +976,13 @@ class TestShardedRecovery:
         refused = self.make_cluster(state_dir)
         with pytest.raises(PersistenceError):
             refused.open()
-        assert refused._driver is None
         for shard in refused.shards:
             assert shard._backend is None
             assert not shard._journal.is_open
+        assert not [
+            thread for thread in threading.enumerate()
+            if thread.name.startswith("trips-shard")
+        ]
 
     @pytest.mark.parametrize("kill_at", [0, 3, 6])
     def test_cluster_kill_and_recover_bit_for_bit(self, tmp_path, kill_at):

@@ -20,6 +20,7 @@ from pathlib import Path
 import pytest
 
 from repro.core import Translator
+from repro.distributed import ShardedIngestService
 from repro.engine import BACKENDS, Engine, EngineConfig
 from repro.errors import ConfigError, DispatchError, ViewerError
 from repro.live import (
@@ -494,6 +495,129 @@ def test_serve_unroutable_record_fails_loudly(two_venues):
     with service:
         with pytest.raises(DispatchError):
             service.serve(RecordStream(iter(shop_records())))
+
+
+# ----------------------------------------------------------------------
+# One window ahead: failures and cuts on pools
+# ----------------------------------------------------------------------
+def pool_service(kind, translators, live_config):
+    """A ``processes`` service, or a 2-shard cluster of them."""
+    engine = EngineConfig(backend="processes", workers=1)
+    if kind == "processes":
+        return LiveTranslationService(translators, engine, live_config)
+    return ShardedIngestService(
+        translators, shards=2, engine_config=engine, live_config=live_config
+    )
+
+
+def pool_processes(service):
+    """Every worker process of the service's (or its shards') pools."""
+    return [
+        process
+        for shard in getattr(service, "shards", [service])
+        for process in shard._backend._pool._processes.values()
+    ]
+
+
+@pytest.mark.parametrize("kind", ["processes", "sharded-processes"])
+def test_pool_failing_feed_stops_siblings(two_venues, kind):
+    """A feed dying while the window before it is still in flight: that
+    window is finished and emitted before the error surfaces, and
+    ``close()`` leaves no pool process alive."""
+
+    class Boom(RuntimeError):
+        pass
+
+    def broken():
+        yield from shop_records()[:20]
+        raise Boom("feed died")
+
+    service = pool_service(kind, two_venues, LiveConfig(window_seconds=30.0))
+    emitted = []
+    with service:
+        with pytest.raises(Boom):
+            service.run_feeds(
+                {
+                    "east": RecordStream(broken()),
+                    "west": RecordStream(iter(shop_records(start=5.0))),
+                },
+                on_window=emitted.append,
+            )
+        processes = pool_processes(service)
+    assert service.stats.windows == len(emitted) >= 1
+    assert processes and not any(p.is_alive() for p in processes)
+
+
+@pytest.mark.parametrize("kind", ["processes", "sharded-processes"])
+def test_pool_unroutable_record_fails_loudly(two_venues, kind):
+    """A record routed to an unknown venue raises ``DispatchError`` in
+    the begin of its window, after the window ahead of it is emitted."""
+    records = shop_records("east:")
+    last = records[-1]
+    records.append(
+        replace(last, device_id="mars:rover", timestamp=last.timestamp + 1)
+    )
+    service = pool_service(kind, two_venues, LiveConfig(window_seconds=60.0))
+    emitted = []
+    with service:
+        with pytest.raises(DispatchError):
+            service.run_feeds(
+                {None: RecordStream(iter(records))}, on_window=emitted.append
+            )
+        processes = pool_processes(service)
+    assert service.stats.windows == len(emitted) >= 1
+    assert not any(p.is_alive() for p in processes)
+
+
+@pytest.mark.parametrize("backend", ALL_BACKENDS)
+def test_adaptive_cuts_do_not_move_one_window_ahead(two_venues, backend):
+    """Bursty tagged feeds under adaptive windowing: the driver, which
+    begins window k+1 before finishing window k, cuts exactly the
+    windows of a loop that translates each window before the next cut.
+    West runs dry first, so east's later windows are cut while east's
+    own previous window is still ahead."""
+    feeds = {"east": fuzz_records(1), "west": fuzz_records(2, per_device=8)}
+    config = LiveConfig(window_seconds=60.0, adaptive_windowing=True)
+    engine = EngineConfig(backend=backend, workers=1, chunk_size=2)
+
+    def cut_then_translate(service):
+        active = {v: RecordStream(iter(r)) for v, r in feeds.items()}
+        while active:
+            for venue_id in sorted(active):
+                seconds, bound = service.window_bounds(venue_id)
+                records = active[venue_id].take_window(seconds, bound)
+                if not records:
+                    del active[venue_id]
+                    continue
+                yield venue_id, service.process_window(records, venue_id)
+
+    cuts = {}
+    for driver in ("ahead", "in turn"):
+        service = LiveTranslationService(two_venues, engine, config)
+        with service:
+            if driver == "ahead":
+                windows = []
+                service.run_feeds(
+                    {v: RecordStream(iter(r)) for v, r in feeds.items()},
+                    on_window=windows.append,
+                )
+                cuts[driver] = [
+                    (venue_id, window.records)
+                    for window in windows
+                    for venue_id in window.venues
+                ]
+            else:
+                cuts[driver] = [
+                    (venue_id, window.records)
+                    for venue_id, window in cut_then_translate(service)
+                ]
+            targets = {
+                v: s.window_records_target
+                for v, s in service.stats.venues.items()
+            }
+        cuts[driver].append(targets)
+    assert cuts["ahead"] == cuts["in turn"]
+    assert len({count for _, count in cuts["ahead"][:-1]}) > 1
 
 
 def test_import_leaves_asyncio_out():
