@@ -3,8 +3,10 @@
 
 Each golden case (``tests/golden/cases.py``) translates a seeded simulator
 feed; its digest is a SHA-256 over the canonical export of every result
-plus ``codec.encode(knowledge)``.  For every case this prints the counts
-(sequences, semantics, gaps filled) as committed and as computed now, and
+plus ``codec.encode(knowledge)``.  Each durable case journals a feed into
+a state directory; its digest covers the canonical state files.  For
+every case this prints the counts (sequences, semantics, gaps filled; or
+windows, WAL entries, state files) as committed and as computed now, and
 whether the digest matches.
 
 Usage (from the repository root)::
@@ -26,15 +28,23 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
-from tests.golden.cases import CASES, DIGESTS_PATH, digest  # noqa: E402
+from tests.golden.cases import (  # noqa: E402
+    CASES,
+    DIGESTS_PATH,
+    DURABLE_CASES,
+    digest,
+    durable_digest,
+)
 
 COUNTS = ("sequences", "semantics", "gaps_filled")
+DURABLE_COUNTS = ("windows", "wal_entries", "state_files")
 
 
 def _counts(entry: dict | None) -> str:
     if entry is None:
         return "-"
-    return "/".join(str(entry[name]) for name in COUNTS)
+    names = COUNTS if "sequences" in entry else DURABLE_COUNTS
+    return "/".join(str(entry[name]) for name in names)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -52,11 +62,16 @@ def main(argv: list[str] | None = None) -> int:
     )
     fresh = {}
     drifted = []
-    print(f"counts are {'/'.join(COUNTS)}")
+    print(
+        f"counts are {'/'.join(COUNTS)} (durable cases: "
+        f"{'/'.join(DURABLE_COUNTS)})"
+    )
     print(f"{'case':<22} {'before':>12} {'after':>12}  digest")
-    for case in CASES:
+    cases = [(case, digest) for case in CASES]
+    cases += [(case, durable_digest) for case in DURABLE_CASES]
+    for case, compute in cases:
         before = committed.get(case.name)
-        after = fresh[case.name] = digest(case)
+        after = fresh[case.name] = compute(case)
         same = before == after
         if not same:
             drifted.append(case.name)

@@ -9,9 +9,14 @@ rules) would move both sides and keep every differential green.  These
 cases close that gap: each one translates a seeded feed and hashes the
 canonical export of every result plus ``codec.encode(knowledge)``.
 
+The durable cases pin the bytes the service journals instead: each streams
+a seeded feed through the service with a state directory and hashes every
+state file it leaves behind (snapshot, WAL tail, ``cluster.json``,
+``exchange.json``) in a canonical form.
+
 ``digests.json`` beside this module holds the committed digests and, per
-case, the counts (sequences, semantics, gaps filled) a failure reports, so
-a drift says *what* moved.  ``scripts/golden_digests.py`` regenerates the
+case, the counts (sequences, semantics, gaps filled; windows, WAL entries,
+state files) a failure reports, so a drift says *what* moved.  ``scripts/golden_digests.py`` regenerates the
 file or checks it; ``tests/test_golden.py`` checks it in the tier-1 suite.
 
 Only ``repro`` is imported here, so the script runs without pytest.
@@ -28,10 +33,12 @@ from pathlib import Path
 
 from repro.buildings import MallConfig, build_airport, build_mall, build_office
 from repro.core import EventIdentifier, Translator
+from repro.distributed import ShardedIngestService
 from repro.durability import encode
 from repro.engine import EngineConfig
 from repro.events import EventEditor
 from repro.live import LiveConfig, LiveTranslationService
+from repro.live.ingest import run_feeds
 from repro.positioning import (
     PositioningSequence,
     RawPositioningRecord,
@@ -163,6 +170,13 @@ def _event_model(name: str, venue: str):
     return EventIdentifier(name, seed=0).train(editor.training_set())
 
 
+def _time_sorted(sequences: list[PositioningSequence]) -> list:
+    return sorted(
+        (record for sequence in sequences for record in sequence.records),
+        key=lambda record: (record.timestamp, record.device_id),
+    )
+
+
 def translate(case: GoldenCase):
     """The case's finalized ``BatchTranslationResult``."""
     model, _ = _venue(case.venue)
@@ -170,10 +184,7 @@ def translate(case: GoldenCase):
     sequences = feed(case)
     if case.retention is None:
         return translator.translate_batch(sequences)
-    records = sorted(
-        (record for sequence in sequences for record in sequence.records),
-        key=lambda record: (record.timestamp, record.device_id),
-    )
+    records = _time_sorted(sequences)
     service = LiveTranslationService(
         {case.venue: translator},
         EngineConfig(),
@@ -217,3 +228,134 @@ def digest(case: GoldenCase) -> dict:
 def load_digests() -> dict:
     """The committed digests, by case name."""
     return json.loads(DIGESTS_PATH.read_text(encoding="utf-8"))
+
+
+# ----------------------------------------------------------------------
+# Durable cases: the state directory the service journals
+# ----------------------------------------------------------------------
+#: The durable cases cut windows of this many data seconds and checkpoint
+#: every ``DURABLE_SNAPSHOT_INTERVAL`` of them, so each ends with a
+#: snapshot and a WAL tail behind it (7 windows; 8 adaptive ones).
+DURABLE_WINDOW_SECONDS = 300.0
+DURABLE_SNAPSHOT_INTERVAL = 3
+
+
+@dataclass(frozen=True)
+class DurableCase:
+    """One pinned state directory.
+
+    The dirty mall feed streams, time-sorted and tagged, through a service
+    journaling into a fresh state directory: a single instance, or with
+    ``shards`` a cluster exchanging every ``exchange_interval`` windows.
+    The cluster is driven by the window driver alone: its own
+    ``run_feeds`` ends with an exchange round, which checkpoints every
+    shard and would leave no WAL tail to pin.
+    """
+
+    name: str
+    shards: int = 1
+    exchange_interval: int | None = None
+    adaptive_windowing: bool = False
+    retention: str | None = None
+
+
+DURABLE_CASES = (
+    DurableCase("durable-single"),
+    DurableCase("durable-sharded", shards=2, exchange_interval=2),
+    DurableCase("durable-adaptive", adaptive_windowing=True),
+    DurableCase("durable-window", retention="window:2"),
+)
+
+#: Wall-clock fields the state files carried through format version 2, by
+#: file name.  The canonical form drops them, and ``version``, wherever
+#: they occur (no codec payload uses these keys), so a digest pins only
+#: what the feed decides.
+TIMING_FIELDS = {
+    "wal.jsonl": {"seconds"},
+    "snapshot.json": {"translate_seconds", "elapsed"},
+    "cluster.json": {"elapsed"},
+    "exchange.json": {"exchange_seconds"},
+}
+
+
+def _without(body, names: set):
+    if isinstance(body, dict):
+        return {
+            key: _without(value, names)
+            for key, value in body.items()
+            if key not in names
+        }
+    if isinstance(body, list):
+        return [_without(value, names) for value in body]
+    return body
+
+
+def canonical_state(path: Path) -> bytes:
+    """One state file as sorted-key JSON (one document per line for the
+    WAL) without its timing fields and format version."""
+    names = TIMING_FIELDS.get(path.name, set()) | {"version"}
+    text = path.read_text(encoding="utf-8")
+    lines = text.splitlines() if path.suffix == ".jsonl" else [text]
+    return "\n".join(
+        json.dumps(_without(json.loads(line), names), sort_keys=True)
+        for line in lines
+    ).encode()
+
+
+def journal(case: DurableCase, state_dir: Path):
+    """Stream the case's feed into ``state_dir``; returns the service's
+    stats."""
+    model, _ = _venue("mall")
+    translators = {"mall": Translator(model)}
+    config = LiveConfig(
+        window_seconds=DURABLE_WINDOW_SECONDS,
+        adaptive_windowing=case.adaptive_windowing,
+        snapshot_interval=DURABLE_SNAPSHOT_INTERVAL,
+    )
+    records = _time_sorted(feed(GoldenCase(case.name, "mall", dirty=True)))
+    if case.shards > 1:
+        service = ShardedIngestService(
+            translators,
+            shards=case.shards,
+            live_config=config,
+            exchange_interval=case.exchange_interval,
+            retention=case.retention,
+            state_dir=state_dir,
+        )
+    else:
+        service = LiveTranslationService(
+            translators,
+            live_config=config,
+            retention=case.retention,
+            state_dir=state_dir,
+        )
+    with service:
+        run_feeds(service, {"mall": RecordStream(iter(records))})
+        return service.stats
+
+
+def state_files(state_dir: Path) -> list[Path]:
+    """Every file under ``state_dir``, in sorted relative-path order."""
+    return sorted(path for path in state_dir.rglob("*") if path.is_file())
+
+
+def durable_digest(case: DurableCase) -> dict:
+    """The case's SHA-256 over its canonical state files, with the counts
+    stored beside it."""
+    with tempfile.TemporaryDirectory() as scratch:
+        state_dir = Path(scratch) / "state"
+        stats = journal(case, state_dir)
+        sha = hashlib.sha256()
+        entries = 0
+        files = state_files(state_dir)
+        for path in files:
+            sha.update(str(path.relative_to(state_dir)).encode() + b"\0")
+            sha.update(canonical_state(path) + b"\0")
+            if path.name == "wal.jsonl":
+                entries += len(path.read_text(encoding="utf-8").splitlines()) - 1
+    return {
+        "sha256": sha.hexdigest(),
+        "windows": stats.windows,
+        "wal_entries": entries,
+        "state_files": len(files),
+    }

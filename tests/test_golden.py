@@ -1,7 +1,8 @@
 """The golden digests: what the reference translator outputs, pinned.
 
 Each case in :mod:`tests.golden.cases` translates a seeded simulator feed
-and hashes its canonical export plus ``codec.encode(knowledge)``; the
+and hashes its canonical export plus ``codec.encode(knowledge)``; each
+durable case hashes the state directory the service journals.  Every
 digest must equal the committed one in ``tests/golden/digests.json``.  A
 failure prints the stored counts (sequences, semantics, gaps filled)
 beside the fresh ones, so it says what moved.  A deliberate change of
@@ -11,13 +12,21 @@ states the regeneration in ``CHANGES.md``.
 
 import pytest
 
-from .golden.cases import CASES, digest, load_digests
+from .golden.cases import (
+    CASES,
+    DURABLE_CASES,
+    digest,
+    durable_digest,
+    load_digests,
+)
 
 COMMITTED = load_digests()
 
 
 def test_every_case_has_a_committed_digest():
-    assert sorted(COMMITTED) == sorted(case.name for case in CASES)
+    assert sorted(COMMITTED) == sorted(
+        case.name for case in CASES + DURABLE_CASES
+    )
 
 
 @pytest.mark.parametrize("case", CASES, ids=lambda case: case.name)
@@ -27,4 +36,16 @@ def test_golden_digest(case):
     assert actual == expected, (
         f"golden case {case.name!r} drifted: committed {expected}, "
         f"now {actual}"
+    )
+
+
+@pytest.mark.parametrize("case", DURABLE_CASES, ids=lambda case: case.name)
+def test_durable_digest(case):
+    """The state files the service journals, in canonical form (timing
+    fields and format version dropped), equal the committed digest."""
+    expected = COMMITTED[case.name]
+    actual = durable_digest(case)
+    assert actual == expected, (
+        f"durable golden case {case.name!r} drifted: committed "
+        f"{expected}, now {actual}"
     )
