@@ -22,7 +22,11 @@ CI runs this so the project documentation cannot rot silently:
    behaviour is selected by arguments, never by the process environment;
 7. every ``tests/…py`` / ``benchmarks/…py`` path and every backticked
    ``test_*`` / ``Test*`` name those documents cite still exists, so a
-   retired bench or renamed test cannot live on in a "Proved by" column.
+   retired bench or renamed test cannot live on in a "Proved by" column;
+8. every backticked ``EngineConfig.<name>`` / ``LiveConfig.<name>`` in
+   ``README.md``, ``docs/*.md`` or anywhere under ``src/repro`` names a
+   field or ClassVar of that dataclass (read with ``ast``), so a deleted
+   option cannot live on in a docstring.
 
 Exits non-zero listing every problem found (not just the first).
 """
@@ -72,6 +76,16 @@ CITED_NAME = re.compile(r"(?:`|::)((?:test_|Test)\w+)`")
 DEFINITION = re.compile(r"^\s*(?:def|class)\s+(\w+)", re.MULTILINE)
 #: Where a cited test (or bench) name must be defined.
 CITATION_SOURCES = ("tests", "benchmarks")
+
+#: Config dataclasses whose backticked ``Name.field`` mentions must name a
+#: field, and the module that defines each.
+CONFIG_CLASSES = {
+    "EngineConfig": "engine/engine.py",
+    "LiveConfig": "live/service.py",
+}
+CONFIG_FIELD = re.compile(
+    r"`(" + "|".join(CONFIG_CLASSES) + r")\.(\w+)"
+)
 
 
 def module_name(path: Path) -> str:
@@ -219,6 +233,40 @@ def check_citations(problems: list[str]) -> None:
             )
 
 
+def config_fields(name: str) -> set[str]:
+    """The annotated class-body names (fields and ClassVars) of config
+    dataclass ``name``, resolved from the syntax tree."""
+    tree = ast.parse(
+        (SRC / CONFIG_CLASSES[name]).read_text(encoding="utf-8")
+    )
+    return {
+        statement.target.id
+        for node in tree.body
+        if isinstance(node, ast.ClassDef) and node.name == name
+        for statement in node.body
+        if isinstance(statement, ast.AnnAssign)
+        and isinstance(statement.target, ast.Name)
+    }
+
+
+def check_config_fields(problems: list[str]) -> None:
+    fields = {name: config_fields(name) for name in CONFIG_CLASSES}
+    paths = [ROOT / "README.md", *sorted((ROOT / "docs").glob("*.md"))]
+    paths += sorted(SRC.rglob("*.py"))
+    for path in paths:
+        if not path.exists():
+            continue  # reported by check_documents
+        text = path.read_text(encoding="utf-8")
+        for match in CONFIG_FIELD.finditer(text):
+            name, field = match.groups()
+            if field not in fields[name]:
+                line = text.count("\n", 0, match.start()) + 1
+                problems.append(
+                    f"{path.relative_to(ROOT)}:{line}: names "
+                    f"{name}.{field}, which is not a field of {name}"
+                )
+
+
 def main() -> int:
     problems: list[str] = []
     check_docstrings(problems)
@@ -226,6 +274,7 @@ def main() -> int:
     check_switches(problems)
     check_backend_names(problems)
     check_citations(problems)
+    check_config_fields(problems)
     if problems:
         print("docs check FAILED:")
         for problem in problems:

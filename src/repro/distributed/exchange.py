@@ -75,6 +75,8 @@ class ExchangeStats:
 
     rounds: int = 0
     deltas_folded: int = 0
+    #: Wall time this process spent in rounds; not journaled, so after
+    #: recovery it counts this process only.
     exchange_seconds: float = 0.0
     #: Sequences in the merged global knowledge, per venue.
     sequences_merged: dict[str, float] = field(default_factory=dict)
@@ -220,7 +222,8 @@ class KnowledgeExchange:
 
         Everything a restarted coordinator needs to keep rebasing
         exactly: the per-venue global aggregates, smoothing, every
-        ``(shard, venue)`` baseline, and the cumulative stats.  The
+        ``(shard, venue)`` baseline, and the cumulative counts (no wall
+        time: the state is a function of the windows exchanged).  The
         sharded service persists this after each round
         (:mod:`repro.durability` wire format, bit-for-bit round-trip).
         """
@@ -239,7 +242,6 @@ class KnowledgeExchange:
             "stats": {
                 "rounds": self.stats.rounds,
                 "deltas_folded": self.stats.deltas_folded,
-                "exchange_seconds": self.stats.exchange_seconds,
                 "sequences_merged": dict(self.stats.sequences_merged),
             },
         }
@@ -262,7 +264,6 @@ class KnowledgeExchange:
         self.stats = ExchangeStats(
             rounds=counters["rounds"],
             deltas_folded=counters["deltas_folded"],
-            exchange_seconds=counters["exchange_seconds"],
             sequences_merged=dict(counters["sequences_merged"]),
         )
 

@@ -83,7 +83,8 @@ class ClusterStats:
     records: int = 0
     sequences: int = 0
     semantics: int = 0
-    #: Wall time from the first cluster window to the latest one.
+    #: Wall time from this process's first cluster window to the latest
+    #: one; not journaled, so after recovery it counts this process only.
     elapsed_seconds: float = 0.0
     #: Per-shard cumulative live stats, in shard-index order.
     per_shard: tuple[LiveStats, ...] = ()
@@ -188,16 +189,7 @@ class ShardedIngestService:
                 f"exchange interval must be >= 1 cluster windows, got "
                 f"{exchange_interval}"
             )
-        engine_config = (
-            engine_config if engine_config is not None else EngineConfig()
-        )
-        # The exchange's additive deltas require unbounded retention on
-        # every path a venue's policy can come from: the explicit
-        # override, or the engine default it falls back to.
         _require_unbounded(retention, "the service retention")
-        _require_unbounded(
-            engine_config.retention, "EngineConfig.retention"
-        )
         self.shard_router = parse_shard_router(shard_router)
         self.exchange_interval = exchange_interval
         self.exchange = KnowledgeExchange()
@@ -295,7 +287,6 @@ class ShardedIngestService:
                 "version": FORMAT_VERSION,
                 "windows": self._windows,
                 "since_exchange": self._since_exchange,
-                "elapsed": self._elapsed,
             },
         )
 
@@ -324,11 +315,10 @@ class ShardedIngestService:
         if cluster_payload is not None:
             require_fields(
                 cluster_payload, str(cluster_path),
-                "windows", "since_exchange", "elapsed",
+                "windows", "since_exchange",
             )
             self._windows = cluster_payload["windows"]
             self._since_exchange = cluster_payload["since_exchange"]
-            self._elapsed = cluster_payload["elapsed"]
             rounds_ran = self._since_exchange < self._windows
             if rounds_ran and exchange_payload is None:
                 raise PersistenceError(

@@ -9,9 +9,11 @@ version, older or newer, raises :class:`~repro.errors.PersistenceError`
 instead of silently misreading.  Version 2 added the phase-one payload
 (:func:`encode_phase_one`): a retained window's cleaning and annotation
 output rides beside its raw record batch, so recovery decodes it instead
-of re-running clean + annotate.  The same payload is how a phase-one
-result crosses the ``processes`` backend's process boundary: the worker
-encodes it, the engine decodes it against the chunk it sent.
+of re-running clean + annotate.  Version 3 dropped every wall-clock field
+from the state files, so their bytes are a function of the feed alone.
+The phase-one payload is also how a phase-one result crosses the
+``processes`` backend's process boundary: the worker encodes it, the
+engine decodes it against the chunk it sent.
 
 The round-trip guarantee is **bit-for-bit**, not merely value-equal:
 
@@ -61,7 +63,7 @@ from ..timeutil import TimeRange
 
 #: Version of the wire format; stamped into WAL headers and snapshot
 #: envelopes, checked on load.
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
 def require_fields(

@@ -23,10 +23,10 @@ translates one bounded stream window and **folds** the window's
 :class:`~repro.core.complementing.PartialKnowledge` into long-running
 knowledge instead of rebuilding — the unit of work of the live streaming
 service in :mod:`repro.live`.  That long-running knowledge is owned by a
-:class:`~repro.knowledge.KnowledgeStore` (see :meth:`Engine.make_store`
-and ``EngineConfig.retention``): folds go through the store, and the
-store's retention policy — unbounded, sliding-window, or exponential
-decay — decides at each epoch roll what the prior keeps remembering.
+:class:`~repro.knowledge.KnowledgeStore` (see :meth:`Engine.make_store`):
+folds go through the store, and the store's retention policy —
+unbounded, sliding-window, or exponential decay — decides at each epoch
+roll what the prior keeps remembering.
 
 The sharded barrier
 -------------------
@@ -89,7 +89,7 @@ from ..core.translator import (
 )
 from ..durability.codec import decode_phase_one, encode_phase_one
 from ..errors import ConfigError
-from ..knowledge import KnowledgeStore, parse_retention
+from ..knowledge import KnowledgeStore
 from ..positioning import PositioningSequence
 from ..telemetry import get_registry
 from .backends import (
@@ -206,25 +206,18 @@ def _phase_two_task(
 class EngineConfig:
     """How the engine partitions and executes a batch.
 
-    ``retention`` is the knowledge-lifecycle spec consumed by
-    :meth:`Engine.make_store` — ``"unbounded"`` (default, fold forever),
-    ``"window:N"`` / ``"window:Ns"`` (sliding window by epoch count /
-    data-time TTL) or ``"decay:H"`` (exponential decay, half-life in
-    epoch rolls); see :func:`repro.knowledge.parse_retention`.  It only
-    shapes store-based incremental translation (the live service rolls
-    one epoch per ingestion window); one-shot batch translation always
-    builds the full-batch knowledge.
+    Knowledge retention is not an engine option: it belongs to the store
+    (:meth:`Engine.make_store`), and the live service picks it per venue.
     """
 
     backend: str = "serial"
     workers: int | None = None
     chunk_size: int = DEFAULT_CHUNK_SIZE
-    retention: str = "unbounded"
     #: Not an option: phase one always runs the columnar kernels.  The
     #: constant exists only because the ledger's re-drive
     #: (``benchmarks/e2e/trace.py::_chunk_runner``) picks its chunk runner
     #: from this attribute and would otherwise silently time the object
-    #: model; ROADMAP item 2b (the re-drive retired) retires it.
+    #: model; ROADMAP item 1a (the re-drive retired) retires it.
     record_layout: ClassVar[str] = "columnar"
 
     def __post_init__(self) -> None:
@@ -239,7 +232,6 @@ class EngineConfig:
             raise ConfigError(
                 f"chunk size must be >= 1, got {self.chunk_size}"
             )
-        parse_retention(self.retention)  # validate the spec eagerly
 
 
 def _window_span(
@@ -371,16 +363,15 @@ class Engine:
         """A fresh knowledge store for this engine's venue.
 
         Vocabulary and smoothing come from the translator; the retention
-        policy from ``retention`` (spec string) or, when ``None``, from
-        ``EngineConfig.retention``.  Returns ``None`` when the venue
-        builds no knowledge at all (complementing disabled or no semantic
-        regions) — the same gate every knowledge build shares.
+        policy from ``retention`` (a spec string, see
+        :func:`repro.knowledge.parse_retention`; ``None`` folds forever).
+        Returns ``None`` when the venue builds no knowledge at all
+        (complementing disabled or no semantic regions) — the same gate
+        every knowledge build shares.
         """
         regions = self.translator.knowledge_regions()
         if regions is None:
             return None
-        if retention is None:
-            retention = self.config.retention
         return KnowledgeStore(
             regions,
             smoothing=self.translator.config.knowledge_smoothing,

@@ -15,9 +15,9 @@ implicit in the engine and live service:
   epochs via the shard algebra's inverse), or :class:`ExponentialDecay`
   (recency-weighted counts, no ring at all);
 - :func:`parse_retention` turns the ``"unbounded"`` / ``"window:N"`` /
-  ``"window:Ns"`` / ``"decay:H"`` spec strings used by
-  ``EngineConfig.retention``, task configs and ``trips serve
-  --retention`` into policies, with validation.
+  ``"window:Ns"`` / ``"decay:H"`` spec strings used by the live
+  service's ``retention``, task configs and ``trips serve --retention``
+  into policies, with validation.
 
 Retirement is exact, not approximate: retiring an epoch leaves knowledge
 bit-for-bit identical to never having folded it (see

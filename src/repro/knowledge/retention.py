@@ -24,7 +24,7 @@ what the live knowledge remembers:
 Policies are addressable by spec string — ``"unbounded"``,
 ``"window:N"`` (count), ``"window:Ns"`` (data-time TTL seconds),
 ``"decay:H"`` (half-life in rolls) — parsed by :func:`parse_retention`,
-which is what ``EngineConfig.retention``, the task-config
+which is what the live service's ``retention``, the task-config
 ``knowledge_retention`` field and ``trips serve --retention`` validate
 against.
 """
@@ -202,8 +202,8 @@ def parse_retention(
         decay:H            halve old evidence every H epoch rolls
 
     Anything else raises :class:`~repro.errors.ConfigError` — this is the
-    single validation point shared by ``EngineConfig.retention``, the
-    task-config ``knowledge_retention`` field and ``trips serve
+    single validation point shared by the live service's ``retention``,
+    the task-config ``knowledge_retention`` field and ``trips serve
     --retention``.
     """
     if spec is None:

@@ -46,8 +46,8 @@ generation-keyed share channel).
 
 **Knowledge lifecycle.**  Each venue's knowledge lives in a
 :class:`~repro.knowledge.KnowledgeStore`; every ingestion window is one
-epoch, and the store's retention policy (``EngineConfig.retention`` or a
-per-venue override) decides what the prior remembers — everything
+epoch, and the store's retention policy (the service's ``retention``,
+for every venue or per venue) decides what the prior remembers — everything
 (unbounded, the default), only the newest epochs (sliding window,
 retired by the shard algebra's exact inverse), or recency-weighted decay.
 With ``LiveConfig.adaptive_windowing`` the service additionally derives

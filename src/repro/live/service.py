@@ -29,12 +29,11 @@ Knowledge lifecycle
 Each venue's knowledge lives in a
 :class:`~repro.knowledge.KnowledgeStore`; every ingestion window is one
 *epoch* — the service rolls the venue's store after folding the window —
-and the store's retention policy (``EngineConfig.retention``, or the
-service's per-venue ``retention`` override) decides what the prior keeps
-remembering: everything (unbounded, the default), only the newest epochs
-(sliding window, retired by exact subtraction), or a recency-weighted
-decay.  ``VenueStats.retained_epochs`` reports the lifecycle state per
-venue.
+and the store's retention policy (the service's ``retention``, for every
+venue or per venue) decides what the prior keeps remembering: everything
+(unbounded, the default), only the newest epochs (sliding window, retired
+by exact subtraction), or a recency-weighted decay.
+``VenueStats.retained_epochs`` reports the lifecycle state per venue.
 
 Adaptive windowing
 ------------------
@@ -45,6 +44,15 @@ per-venue ``max_window_records`` target from it, so a quiet office and a
 busy mall both keep their windows near the configured time span without
 one burst growing a window without bound.  The window driver
 (:mod:`repro.live.ingest`) consults :meth:`window_bounds` per window.
+
+One window step
+---------------
+
+A window's effect on a venue is recorded once, as the venue's WAL entry,
+and applied by one step (``_apply_window``) that the live path, WAL
+replay and snapshot restore share, so a recovered service cuts its next
+windows as the uninterrupted one would.  No wall-clock time is
+journaled: two runs over one feed write byte-identical state files.
 """
 
 from __future__ import annotations
@@ -90,6 +98,10 @@ from .ingest import FeedSet, run_feeds as _run_feeds
 #: a near-idle venue still gets meaningful batches.
 ADAPTIVE_MIN_RECORDS = 8
 
+#: EWMA smoothing for the observed feed rate (1.0 = latest window only,
+#: smaller = smoother).
+ADAPTIVE_ALPHA = 0.25
+
 #: Headroom over the EWMA-predicted records-per-window, so the count
 #: bound only closes a window on genuine bursts, not ordinary jitter.
 ADAPTIVE_HEADROOM = 2.0
@@ -113,9 +125,6 @@ class LiveConfig:
     #: finalize-equals-batch check against a *fixed* windowing no longer
     #: applies verbatim.
     adaptive_windowing: bool = False
-    #: EWMA smoothing for the observed feed rate (1.0 = latest window
-    #: only, smaller = smoother).
-    adaptive_alpha: float = 0.25
     #: Durable-state checkpoint cadence: with a ``state_dir`` configured,
     #: the service writes a full :class:`~repro.knowledge.KnowledgeStore`
     #: snapshot (and truncates the WAL) every this many windows.  Smaller
@@ -131,11 +140,6 @@ class LiveConfig:
             raise ConfigError(
                 f"max_window_records must be >= 1, got "
                 f"{self.max_window_records}"
-            )
-        if not 0.0 < self.adaptive_alpha <= 1.0:
-            raise ConfigError(
-                f"adaptive_alpha must be in (0, 1], got "
-                f"{self.adaptive_alpha}"
             )
         if self.snapshot_interval < 1:
             raise ConfigError(
@@ -157,8 +161,9 @@ class VenueStats:
     #: decayed float weight under decay retention; drops when a sliding
     #: window retires epochs).
     knowledge_sequences: "int | float" = 0
-    #: Wall time spent translating (and folding/retiring) this venue's
-    #: windows.
+    #: Wall time this process spent translating (and folding/retiring)
+    #: this venue's windows; not journaled, so it restarts at 0 on
+    #: recovery.
     translate_seconds: float = 0.0
     #: Epochs still contributing to the venue's knowledge (ring length
     #: under sliding-window retention; every epoch ever rolled under
@@ -170,16 +175,14 @@ class VenueStats:
 
     def count(
         self, store: KnowledgeStore | None, records: int, sequences: int,
-        semantics: int, seconds: float, windows: int = 1,
+        semantics: int, windows: int = 1,
     ) -> None:
-        """Count one window — translated, or replayed from the WAL — or a
-        snapshot's ``windows`` onto fresh stats, then re-read the
-        knowledge fields from the venue's ``store``."""
+        """Count one window, or a snapshot's ``windows`` onto fresh stats,
+        then re-read the knowledge fields from the venue's ``store``."""
         self.windows += windows
         self.records += records
         self.sequences += sequences
         self.semantics += semantics
-        self.translate_seconds += seconds
         if store is not None:
             self.knowledge_sequences = store.knowledge.sequences_seen
             self.retained_epochs = store.retained_epochs
@@ -188,8 +191,7 @@ class VenueStats:
 #: The :class:`VenueStats` fields a snapshot journals (the knowledge
 #: fields are re-read from the restored store).
 _JOURNALED_STATS = (
-    "windows", "records", "sequences", "semantics", "translate_seconds",
-    "window_records_target",
+    "windows", "records", "sequences", "semantics", "window_records_target",
 )
 
 
@@ -201,9 +203,11 @@ class LiveStats:
     records: int = 0
     sequences: int = 0
     semantics: int = 0
-    #: Wall time spent inside window translation.
+    #: Wall time this process spent inside window translation.
     translate_seconds: float = 0.0
-    #: Wall time from the first window to the latest one.
+    #: Wall time from this process's first window to the latest one.
+    #: Neither is journaled: after recovery both count this process only,
+    #: while the counts above include recovered windows.
     elapsed_seconds: float = 0.0
     #: WAL entry bytes appended by this service's journal (0 without a
     #: configured ``state_dir``).
@@ -354,9 +358,9 @@ class LiveTranslationService:
         self.live_config = (
             live_config if live_config is not None else LiveConfig()
         )
-        # Per-venue knowledge-retention override; falls back to
-        # ``EngineConfig.retention`` where unset.  Validated eagerly so a
-        # malformed spec fails at construction, not mid-stream.
+        # Knowledge retention, for every venue or per venue (unbounded
+        # where unset).  Validated eagerly so a malformed spec fails at
+        # construction, not mid-stream.
         if isinstance(retention, Mapping):
             for venue_id, spec in retention.items():
                 if venue_id not in self.dispatcher.translators:
@@ -532,12 +536,9 @@ class LiveTranslationService:
                 if state.store is not None:
                     retired = state.store.roll()  # one epoch per window
             venue_elapsed = time.perf_counter() - venue_started
-            if self.live_config.retain_results:
-                state.results.extend(batch.results)
-            state.stats.count(
-                state.store, len(venue_records), len(batch),
-                batch.total_semantics, venue_elapsed,
-            )
+            state.stats.translate_seconds += venue_elapsed
+            entry = self._window_entry(state, venue_records, batch, retired)
+            self._apply_window(state, entry, batch.results)
             if registry.enabled:
                 registry.histogram(
                     "trips_live_window_seconds", venue=vid
@@ -555,16 +556,7 @@ class LiveTranslationService:
                     registry.gauge(
                         "trips_knowledge_sequences", venue=vid
                     ).set(state.store.knowledge.sequences_seen)
-            if self.live_config.adaptive_windowing:
-                state.ewma_rate, state.stats.window_records_target = (
-                    self._observe_rate(state.ewma_rate, len(venue_records))
-                )
-            if self._journal is not None:
-                journal_venues.append(
-                    self._journal_venue_entry(
-                        state, venue_records, batch, retired, venue_elapsed
-                    )
-                )
+            journal_venues.append(entry)
             window_batches[vid] = batch
 
         finished = time.perf_counter()
@@ -589,7 +581,7 @@ class LiveTranslationService:
         )
 
     def _retention_for(self, venue_id: str) -> "str | RetentionPolicy | None":
-        """This venue's retention override (``None`` → engine default)."""
+        """This venue's retention spec (``None`` → unbounded)."""
         if isinstance(self._retention, Mapping):
             return self._retention.get(venue_id)
         return self._retention
@@ -611,46 +603,86 @@ class LiveTranslationService:
     # ------------------------------------------------------------------
     # Durable state (see :mod:`repro.durability`)
     # ------------------------------------------------------------------
-    def _journal_venue_entry(
+    def _window_entry(
         self,
         state: _VenueState,
         venue_records: list[RawPositioningRecord],
         batch: BatchTranslationResult,
         retired: list,
-        venue_elapsed: float,
     ) -> dict:
-        """One venue's share of the window's WAL entry.
+        """One venue's record of a finished window: its share of the
+        window's WAL entry, and what :meth:`_apply_window` applies.
 
-        The delta is the epoch the roll just closed — bit for bit the
-        shard this window folded — plus its data-time span and the
-        indices of the epochs retention retired, so replay can validate
-        that re-rolling retires exactly what the live run did.  With
-        ``retain_results`` the raw record batch and its encoded phase-one
-        output ride along, encoded once here: recovery decodes the
-        retained results from them, and later snapshots re-write the
-        same payloads.
+        Journaled, the delta is the epoch the roll just closed — bit for
+        bit the shard this window folded — plus its data-time span; the
+        retired epoch indices let replay validate that re-rolling retires
+        exactly what the live run did.  With ``retain_results`` the raw
+        record batch and its phase-one output ride along, encoded once
+        here and re-written as they are by later snapshots.
         """
-        closed = state.store.last_epoch if state.store is not None else None
-        rows = phase_one = None
-        if self.live_config.retain_results:
-            rows = encode_records(venue_records)
-            phase_one = encode_phase_one(
-                [(result.cleaning, result.annotation) for result in batch]
-            )
-            state.journaled.append((rows, phase_one))
+        journaling = self._journal is not None
+        store = state.store if journaling else None
+        closed = store.last_epoch if store is not None else None
+        retain = journaling and self.live_config.retain_results
         return {
             "venue": state.venue_id,
             "records": len(venue_records),
             "sequences": len(batch),
             "semantics": batch.total_semantics,
-            "seconds": venue_elapsed,
             "delta": None if closed is None else encode(closed.partial),
             "start": None if closed is None else closed.start,
             "end": None if closed is None else closed.end,
             "retired": [epoch.index for epoch in retired],
-            "batch": rows,
-            "phase_one": phase_one,
+            "batch": encode_records(venue_records) if retain else None,
+            "phase_one": encode_phase_one(
+                [(result.cleaning, result.annotation) for result in batch]
+            ) if retain else None,
         }
+
+    def _apply_window(
+        self, state: _VenueState, entry: dict,
+        results: "list[TranslationResult] | None" = None, *,
+        journaled: "list[tuple] | None" = None, windows: int = 1,
+        adaptive: "tuple | None" = None, where: str = "",
+    ) -> None:
+        """Apply one venue's window entry — finished live or replayed from
+        the WAL — so recovery ends where the uninterrupted run was.
+
+        Counts the window, advances the adaptive EWMA and record target
+        from its ``records``, and keeps its retained results with their
+        journaled ``(record rows, phase-one payload)``; ``results=None``
+        decodes them from those payloads (``where`` names the entry in
+        errors).  Snapshot restore counts its summary of ``windows``
+        windows here too, passing its ``journaled`` payloads and the
+        ``adaptive`` (EWMA, target) it holds.
+        """
+        state.stats.count(
+            state.store, entry["records"], entry["sequences"],
+            entry["semantics"], windows,
+        )
+        if adaptive is None and self.live_config.adaptive_windowing:
+            adaptive = self._observe_rate(state.ewma_rate, entry["records"])
+        if adaptive is not None:
+            state.ewma_rate, state.stats.window_records_target = adaptive
+        if not self.live_config.retain_results:
+            return
+        if journaled is None:
+            journaled = (
+                [] if entry["batch"] is None
+                else [(entry["batch"], entry["phase_one"])]
+            )
+        if results is None:
+            results = []
+            for index, (rows, phase_one) in enumerate(journaled):
+                sequences = PositioningSequence.group_records(
+                    decode_records(rows)
+                )
+                pairs = decode_phase_one(
+                    phase_one, sequences, f"{where} batch {index}"
+                )
+                results.extend(assemble_results(sequences, pairs, None))
+        state.results.extend(results)
+        state.journaled.extend(journaled)
 
     def checkpoint(self) -> None:
         """Write a full durable snapshot now and truncate the WAL.
@@ -676,23 +708,12 @@ class LiveTranslationService:
                     for name in _JOURNALED_STATS
                 },
                 "ewma": state.ewma_rate,
-                "batches": (
-                    [rows for rows, _ in state.journaled] if retain else None
-                ),
-                "phase_one": (
-                    [payload for _, payload in state.journaled]
-                    if retain
-                    else None
-                ),
+                "batches": [rows for rows, _ in state.journaled]
+                if retain else None,
+                "phase_one": [payload for _, payload in state.journaled]
+                if retain else None,
             }
-        self._journal.write_snapshot(
-            self._windows,
-            {
-                "translate_seconds": self._translate_seconds,
-                "elapsed": self._elapsed,
-                "venues": venues,
-            },
-        )
+        self._journal.write_snapshot(self._windows, {"venues": venues})
         self._since_snapshot = 0
 
     def _recover(self) -> None:
@@ -703,10 +724,10 @@ class LiveTranslationService:
         WAL entry then re-folds its venue deltas and re-rolls — retention
         is deterministic, and the retired epoch indices must match what
         the entry logged, or the log has diverged from the code and
-        recovery raises instead of resuming silently wrong.  Retained
-        results are decoded from each window's journaled phase-one
-        payload as the snapshot and the entries are read: recovery is
-        decode + fold, and no engine runs.
+        recovery raises instead of resuming silently wrong — and is
+        applied by :meth:`_apply_window`, the live path's own step, which
+        decodes its retained results from the journaled phase-one
+        payload: recovery is decode + fold, and no engine runs.
         """
         snapshot, entries = self._journal.load()
         if snapshot is not None:
@@ -721,24 +742,10 @@ class LiveTranslationService:
             )
             registry.counter("trips_recoveries_total").inc()
 
-    def _restore_results(
-        self, state: _VenueState, rows: list, phase_one: object, where: str
-    ) -> None:
-        """Decode one retained window's results from its journaled rows
-        and phase-one payload (``where`` names the file and entry)."""
-        sequences = PositioningSequence.group_records(decode_records(rows))
-        pairs = decode_phase_one(phase_one, sequences, where)
-        state.results.extend(assemble_results(sequences, pairs, None))
-        state.journaled.append((rows, phase_one))
-
     def _restore_snapshot(self, snapshot: dict) -> None:
         where = f"snapshot {self._journal.snapshot_path}"
-        require_fields(
-            snapshot, where, "translate_seconds", "elapsed", venues=dict
-        )
+        require_fields(snapshot, where, venues=dict)
         self._windows = snapshot["windows"]
-        self._translate_seconds = snapshot["translate_seconds"]
-        self._elapsed = snapshot["elapsed"]
         for vid, payload in snapshot["venues"].items():
             state = self._states.get(vid)
             if state is None:
@@ -762,30 +769,23 @@ class LiveTranslationService:
                 store.track_deltas = True
                 state.store = store
             state.store_checked = payload["store_checked"]
-            stats = state.stats
-            stats.count(
-                state.store, counters["records"], counters["sequences"],
-                counters["semantics"], counters["translate_seconds"],
+            batches = payload["batches"] or []
+            phase_one = payload["phase_one"]
+            if self.live_config.retain_results and batches and (
+                not isinstance(phase_one, list)
+                or len(phase_one) != len(batches)
+            ):
+                raise PersistenceError(
+                    f"{venue_where} has no valid 'phase_one' field "
+                    f"for its {len(batches)} batches"
+                )
+            self._apply_window(
+                state, counters,
+                journaled=list(zip(batches, phase_one or [])),
                 windows=counters["windows"],
+                adaptive=(payload["ewma"], counters["window_records_target"]),
+                where=venue_where,
             )
-            stats.window_records_target = counters["window_records_target"]
-            state.ewma_rate = payload["ewma"]
-            batches = payload["batches"]
-            if self.live_config.retain_results and batches:
-                phase_one = payload["phase_one"]
-                if not isinstance(phase_one, list) or len(phase_one) != len(
-                    batches
-                ):
-                    raise PersistenceError(
-                        f"{venue_where} has no valid 'phase_one' field "
-                        f"for its {len(batches)} batches"
-                    )
-                for index, (rows, encoded) in enumerate(
-                    zip(batches, phase_one)
-                ):
-                    self._restore_results(
-                        state, rows, encoded, f"{venue_where} batch {index}"
-                    )
 
     def _check_restored_retention(self, vid: str, store: KnowledgeStore):
         """A restored store must run the policy this service configures.
@@ -794,8 +794,6 @@ class LiveTranslationService:
         run diverge from both the crashed one and a fresh one.
         """
         configured = self._retention_for(vid)
-        if configured is None:
-            configured = self.engine_config.retention
         if encode_retention(parse_retention(configured)) != encode_retention(
             store.retention
         ):
@@ -817,8 +815,8 @@ class LiveTranslationService:
         for payload in entry["venues"]:
             require_fields(
                 payload, f"{where} venue entry", "records", "sequences",
-                "semantics", "seconds", "delta", "start", "end", "batch",
-                "phase_one", venue=str, retired=list,
+                "semantics", "delta", "start", "end", "batch", "phase_one",
+                venue=str, retired=list,
             )
             vid = payload["venue"]
             state = self._states.get(vid)
@@ -847,22 +845,8 @@ class LiveTranslationService:
                         f"{[e.index for e in retired]} where the log "
                         f"recorded {payload['retired']}"
                     )
-            state.stats.count(
-                state.store, payload["records"], payload["sequences"],
-                payload["semantics"], payload["seconds"],
-            )
-            if (
-                self.live_config.retain_results
-                and payload["batch"] is not None
-            ):
-                self._restore_results(
-                    state, payload["batch"], payload["phase_one"],
-                    f"{where} venue {vid!r}",
-                )
+            self._apply_window(state, payload, where=f"{where} venue {vid!r}")
         self._windows += 1
-        self._translate_seconds += sum(
-            payload["seconds"] for payload in entry["venues"]
-        )
 
     def _observe_rate(
         self, ewma: float | None, records: int
@@ -884,8 +868,7 @@ class LiveTranslationService:
         """
         rate = records / self.live_config.window_seconds
         if ewma is not None:
-            alpha = self.live_config.adaptive_alpha
-            rate = alpha * rate + (1.0 - alpha) * ewma
+            rate = ADAPTIVE_ALPHA * rate + (1.0 - ADAPTIVE_ALPHA) * ewma
         target = max(
             ADAPTIVE_MIN_RECORDS,
             math.ceil(

@@ -158,12 +158,6 @@ class TestConstruction:
         with pytest.raises(ConfigError):
             make_cluster(retention=retention)
 
-    def test_rejects_non_unbounded_engine_default(self):
-        with pytest.raises(ConfigError):
-            make_cluster(
-                engine_config=EngineConfig(chunk_size=2, retention="window:2")
-            )
-
     def test_exchange_rejects_retiring_store_at_runtime(self):
         """Hand-assembled shards are guarded too, not just the service."""
         shard = LiveTranslationService(

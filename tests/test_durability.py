@@ -908,7 +908,8 @@ class TestRecoveryValidation:
              lambda body: body["venues"][0].pop("delta")),
             ("wal.jsonl", "venues", lambda body: body.update(venues=7)),
             ("snapshot.json", "venues", lambda body: body.pop("venues")),
-            ("snapshot.json", "elapsed", lambda body: body.pop("elapsed")),
+            ("snapshot.json", "stats",
+             lambda body: body["venues"]["east"].pop("stats")),
             ("wal.jsonl", "phase_one",
              lambda body: body["venues"][0].pop("phase_one")),
             ("snapshot.json", "phase_one",
@@ -918,7 +919,7 @@ class TestRecoveryValidation:
         ],
         ids=[
             "wal-without-venues", "wal-venue-without-delta", "wal-venues-int",
-            "snapshot-without-venues", "snapshot-without-elapsed",
+            "snapshot-without-venues", "snapshot-venue-without-stats",
             "wal-venue-without-phase-one", "snapshot-venue-without-phase-one",
             "wal-phase-one-count-mismatch",
         ],
@@ -966,7 +967,7 @@ class TestShardedRecovery:
         if refusal == "shard":
             tamper_last_line(
                 state_dir / "shard-1" / "snapshot.json",
-                lambda body: body.pop("elapsed"),
+                lambda body: body.pop("venues"),
             )
         else:
             tamper_last_line(
@@ -983,6 +984,35 @@ class TestShardedRecovery:
             thread for thread in threading.enumerate()
             if thread.name.startswith("trips-shard")
         ]
+
+    @pytest.mark.parametrize(
+        "state_file",
+        [
+            "shard-0/wal.jsonl", "shard-0/snapshot.json", "cluster.json",
+            "exchange.json",
+        ],
+    )
+    def test_version_2_state_is_refused_by_name(self, tmp_path, state_file):
+        """Format 3 dropped the wall-clock fields; a version-2 file of
+        any kind is refused, naming the file and both versions, with no
+        fallback reader."""
+        assert FORMAT_VERSION == 3
+        state_dir = tmp_path / "cluster"
+        with self.make_cluster(state_dir) as cluster:
+            for window in feed_windows()[:5]:
+                cluster.process_window(window, "east")
+        path = state_dir / state_file
+        lines = path.read_bytes().splitlines(keepends=True)
+        header = json.loads(lines[0])
+        assert header["version"] == FORMAT_VERSION
+        header["version"] = 2
+        lines[0] = json.dumps(header).encode() + b"\n"
+        path.write_bytes(b"".join(lines))
+        with pytest.raises(PersistenceError) as refused:
+            self.make_cluster(state_dir).open()
+        message = str(refused.value)
+        assert path.name in message
+        assert "version 2" in message and "version 3" in message
 
     @pytest.mark.parametrize("kill_at", [0, 3, 6])
     def test_cluster_kill_and_recover_bit_for_bit(self, tmp_path, kill_at):

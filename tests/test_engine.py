@@ -686,13 +686,15 @@ def test_engine_config_validation():
 
 
 def test_engine_config_surface():
-    """The ratchet: four options, and the removed ones stay removed —
+    """The ratchet: three options, and the removed ones stay removed —
     ``Engine.make_store`` included, which takes no external knowledge,
     and ``Engine.phase_one``."""
     assert {f.name for f in dataclasses.fields(EngineConfig)} == {
-        "backend", "workers", "chunk_size", "retention",
+        "backend", "workers", "chunk_size",
     }
-    for removed in ("record_layout", "knowledge_build", "phase_one_cache"):
+    for removed in (
+        "record_layout", "knowledge_build", "phase_one_cache", "retention",
+    ):
         with pytest.raises(TypeError):
             EngineConfig(**{removed: None})
     assert list(inspect.signature(Engine.make_store).parameters) == [

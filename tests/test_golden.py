@@ -17,7 +17,9 @@ from .golden.cases import (
     DURABLE_CASES,
     digest,
     durable_digest,
+    journal,
     load_digests,
+    state_files,
 )
 
 COMMITTED = load_digests()
@@ -49,3 +51,20 @@ def test_durable_digest(case):
         f"durable golden case {case.name!r} drifted: committed "
         f"{expected}, now {actual}"
     )
+
+
+@pytest.mark.parametrize("case", DURABLE_CASES, ids=lambda case: case.name)
+def test_durable_state_is_byte_identical_across_runs(case, tmp_path):
+    """The state files hold only what the feed decides: two runs of the
+    same case write the same bytes, file for file, with nothing dropped."""
+    written = []
+    for run in ("first", "second"):
+        state_dir = tmp_path / run
+        journal(case, state_dir)
+        written.append(
+            {
+                str(path.relative_to(state_dir)): path.read_bytes()
+                for path in state_files(state_dir)
+            }
+        )
+    assert written[0] == written[1]

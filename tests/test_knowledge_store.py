@@ -570,21 +570,17 @@ def shop_windows(window_seconds: float = 60.0):
 
 
 class TestEngineStores:
-    def test_engine_config_validates_retention(self):
-        with pytest.raises(ConfigError):
-            EngineConfig(retention="window:zero")
-        assert EngineConfig(retention="window:4").retention == "window:4"
-
-    def test_make_store_uses_config_retention(self):
-        engine = Engine(
-            Translator(make_two_shop_dsm()),
-            EngineConfig(retention="window:3"),
-        )
-        store = engine.make_store()
+    def test_make_store_takes_its_retention(self):
+        """``make_store()`` folds forever; a spec picks the policy."""
+        engine = Engine(Translator(make_two_shop_dsm()))
+        assert isinstance(engine.make_store().retention, Unbounded)
+        store = engine.make_store(retention="window:3")
         assert isinstance(store.retention, SlidingWindow)
         assert store.retention.max_epochs == 3
         override = engine.make_store(retention="decay:2")
         assert isinstance(override.retention, ExponentialDecay)
+        with pytest.raises(ConfigError):
+            engine.make_store(retention="window:zero")
 
     def test_make_store_none_when_knowledge_disabled(self):
         from repro.core import TranslatorConfig
@@ -668,9 +664,7 @@ class TestLiveLifecycle:
             return service, service.finalize()
 
     def test_sliding_window_service_knowledge_is_recent_only(self):
-        service, _ = self.run(
-            engine_config=EngineConfig(chunk_size=2, retention="window:2")
-        )
+        service, _ = self.run(retention="window:2")
         store = service.store("east")
         assert store.retained_epochs == 2
         assert store.epochs_retired == service.stats.windows - 2
@@ -783,8 +777,3 @@ class TestLiveLifecycle:
         assert stats.windows > 1
         assert stats.venues["east"].window_records_target is not None
 
-    def test_live_config_validates_adaptive_alpha(self):
-        with pytest.raises(ConfigError):
-            LiveConfig(adaptive_alpha=0.0)
-        with pytest.raises(ConfigError):
-            LiveConfig(adaptive_alpha=1.5)

@@ -355,7 +355,7 @@ def test_drivers_finalize_identically(two_venues, backend, adaptive, tagged):
 
 def test_live_service_surface():
     """The ratchet: one sync driver entry pair plus ``serve``, and
-    ``LiveConfig`` stays at six options."""
+    ``LiveConfig`` stays at five options."""
     public = {
         name for name in dir(LiveTranslationService)
         if not name.startswith("_")
@@ -367,8 +367,10 @@ def test_live_service_surface():
     }
     assert {f.name for f in fields(LiveConfig)} == {
         "window_seconds", "max_window_records", "retain_results",
-        "adaptive_windowing", "adaptive_alpha", "snapshot_interval",
+        "adaptive_windowing", "snapshot_interval",
     }
+    with pytest.raises(TypeError):
+        LiveConfig(adaptive_alpha=0.5)
 
 
 # ----------------------------------------------------------------------
@@ -618,6 +620,70 @@ def test_adaptive_cuts_do_not_move_one_window_ahead(two_venues, backend):
         cuts[driver].append(targets)
     assert cuts["ahead"] == cuts["in turn"]
     assert len({count for _, count in cuts["ahead"][:-1]}) > 1
+
+
+@pytest.mark.parametrize("stop", [3, 6, 9])
+def test_adaptive_cuts_survive_wal_replay(two_venues, tmp_path, stop):
+    """ROADMAP item 15(a): bursty tagged feeds under adaptive windowing,
+    closed after ``stop`` windows with no snapshot on disk, reopened and
+    resumed.  Recovery replays the WAL tail alone, and it must leave each
+    venue's EWMA and record target where the uninterrupted run had them:
+    every venue's per-window record counts, and the final (EWMA, target),
+    equal the uninterrupted run's."""
+    feeds = {"east": fuzz_records(1), "west": fuzz_records(2, per_device=8)}
+    config = LiveConfig(
+        window_seconds=60.0, adaptive_windowing=True, snapshot_interval=1000
+    )
+
+    def run(service, start, end=None):
+        """Drive each venue's records ``[start, end)``; return the
+        windows' (venue, records) in driver order and each venue's final
+        (EWMA, target)."""
+        cuts = []
+        service.run_feeds(
+            {
+                venue: RecordStream(
+                    iter(records[start[venue]:(end or {}).get(venue)])
+                )
+                for venue, records in feeds.items()
+            },
+            on_window=lambda window: cuts.extend(
+                (venue, window.records) for venue in window.venues
+            ),
+        )
+        adaptive = {
+            venue: (state.ewma_rate, state.stats.window_records_target)
+            for venue, state in service._states.items()
+        }
+        return cuts, adaptive
+
+    def per_venue(cuts):
+        return {v: [count for u, count in cuts if u == v] for v in feeds}
+
+    origin = {venue: 0 for venue in feeds}
+    with LiveTranslationService(two_venues, EngineConfig(), config) as service:
+        cuts, adaptive = run(service, origin)
+    # The first ``stop`` windows are each venue's leading windows, in the
+    # driver's order: truncating each feed after them cuts them again.
+    prefix = dict(origin)
+    for venue, count in cuts[:stop]:
+        prefix[venue] += count
+
+    state_dir = tmp_path / "state"
+    with LiveTranslationService(
+        two_venues, EngineConfig(), config, state_dir=state_dir
+    ) as first:
+        before, _ = run(first, origin, prefix)
+    assert before == cuts[:stop]
+    assert not (state_dir / "snapshot.json").exists()
+    with LiveTranslationService(
+        two_venues, EngineConfig(), config, state_dir=state_dir
+    ) as second:
+        assert second.stats.windows == stop
+        after, resumed = run(second, prefix)
+    assert per_venue(before + after) == per_venue(cuts)
+    assert resumed == adaptive
+    assert len({count for _, count in cuts}) > 1
 
 
 def test_import_leaves_asyncio_out():
