@@ -2,12 +2,12 @@
 """Regenerate or check the golden digests in ``tests/golden/digests.json``.
 
 Each golden case (``tests/golden/cases.py``) translates a seeded simulator
-feed; its digest is a SHA-256 over the canonical export of every result
-plus ``codec.encode(knowledge)``.  Each durable case journals a feed into
-a state directory; its digest covers the canonical state files.  For
-every case this prints the counts (sequences, semantics, gaps filled; or
-windows, WAL entries, state files) as committed and as computed now, and
-whether the digest matches.
+feed; it has two SHA-256 digests, ``export`` over the canonical export of
+every result and ``knowledge`` over ``codec.encode(knowledge)``.  Each
+durable case journals a feed into a state directory; its ``sha256``
+covers the canonical state files.  For every case this prints the counts
+(sequences, semantics, gaps filled; or windows, WAL entries, state files)
+as committed and as computed now, and whether each digest matches.
 
 Usage (from the repository root)::
 
@@ -38,6 +38,8 @@ from tests.golden.cases import (  # noqa: E402
 
 COUNTS = ("sequences", "semantics", "gaps_filled")
 DURABLE_COUNTS = ("windows", "wal_entries", "state_files")
+#: The digests a case carries, reported one by one.
+DIGESTS = ("export", "knowledge", "sha256")
 
 
 def _counts(entry: dict | None) -> str:
@@ -66,18 +68,22 @@ def main(argv: list[str] | None = None) -> int:
         f"counts are {'/'.join(COUNTS)} (durable cases: "
         f"{'/'.join(DURABLE_COUNTS)})"
     )
-    print(f"{'case':<22} {'before':>12} {'after':>12}  digest")
+    print(f"{'case':<22} {'before':>12} {'after':>12}  digests")
     cases = [(case, digest) for case in CASES]
     cases += [(case, durable_digest) for case in DURABLE_CASES]
     for case, compute in cases:
-        before = committed.get(case.name)
+        before = committed.get(case.name) or {}
         after = fresh[case.name] = compute(case)
-        same = before == after
-        if not same:
+        if before != after:
             drifted.append(case.name)
+        verdicts = "  ".join(
+            f"{name} {'same' if before.get(name) == after[name] else 'CHANGED'}"
+            for name in DIGESTS
+            if name in after
+        )
         print(
-            f"{case.name:<22} {_counts(before):>12} {_counts(after):>12}  "
-            f"{'same' if same else 'CHANGED'}"
+            f"{case.name:<22} {_counts(before or None):>12} "
+            f"{_counts(after):>12}  {verdicts}"
         )
     stale = sorted(set(committed) - set(fresh))
     for name in stale:

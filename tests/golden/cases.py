@@ -7,7 +7,7 @@ the reference itself outputs, so a change to a helper both sides share
 (``repro.geometry.measure``, ``core/annotation/features.py``, the cleaning
 rules) would move both sides and keep every differential green.  These
 cases close that gap: each one translates a seeded feed and hashes the
-canonical export of every result plus ``codec.encode(knowledge)``.
+canonical export of every result and, apart, ``codec.encode(knowledge)``.
 
 The durable cases pin the bytes the service journals instead: each streams
 a seeded feed through the service with a state directory and hashes every
@@ -197,28 +197,33 @@ def translate(case: GoldenCase):
 
 
 def digest(case: GoldenCase) -> dict:
-    """The case's SHA-256 and the counts stored beside it.
+    """The case's two SHA-256 digests and the counts stored beside them.
 
-    The hash covers each result's ``TranslationResult.export`` file bytes,
-    in (device, first timestamp) order, then the sorted-key JSON of
-    ``codec.encode(knowledge)``: floats enter as their shortest repr, so
-    equality is bit for bit.
+    ``export`` covers each result's ``TranslationResult.export`` file
+    bytes, in (device, first timestamp) order; ``knowledge`` covers the
+    sorted-key JSON of ``codec.encode(knowledge)``.  Floats enter as their
+    shortest repr, so equality is bit for bit.  Kept apart, a change to
+    the knowledge wire format shows as a knowledge digest that moved
+    beside an export digest that did not.
     """
     batch = translate(case)
     results = sorted(
         batch.results,
         key=lambda result: (result.device_id, result.raw.records[0].timestamp),
     )
-    sha = hashlib.sha256()
+    export = hashlib.sha256()
     with tempfile.TemporaryDirectory() as scratch:
         path = Path(scratch) / "result.json"
         for result in results:
             result.export(path)
-            sha.update(path.read_bytes())
-    sha.update(json.dumps(encode(batch.knowledge), sort_keys=True).encode())
+            export.update(path.read_bytes())
+    knowledge = hashlib.sha256(
+        json.dumps(encode(batch.knowledge), sort_keys=True).encode()
+    )
     complements = [r.complement for r in results if r.complement is not None]
     return {
-        "sha256": sha.hexdigest(),
+        "export": export.hexdigest(),
+        "knowledge": knowledge.hexdigest(),
         "sequences": len(results),
         "semantics": sum(len(result.semantics) for result in results),
         "gaps_filled": sum(c.gaps_filled for c in complements),

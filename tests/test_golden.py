@@ -1,11 +1,11 @@
 """The golden digests: what the reference translator outputs, pinned.
 
 Each case in :mod:`tests.golden.cases` translates a seeded simulator feed
-and hashes its canonical export plus ``codec.encode(knowledge)``; each
-durable case hashes the state directory the service journals.  Every
+and hashes its canonical export and, apart, ``codec.encode(knowledge)``;
+each durable case hashes the state directory the service journals.  Every
 digest must equal the committed one in ``tests/golden/digests.json``.  A
-failure prints the stored counts (sequences, semantics, gaps filled)
-beside the fresh ones, so it says what moved.  A deliberate change of
+failure prints the stored digests and counts (sequences, semantics, gaps
+filled) beside the fresh ones, so it says what moved.  A deliberate change of
 output regenerates the file with ``python scripts/golden_digests.py`` and
 states the regeneration in ``CHANGES.md``.
 """
