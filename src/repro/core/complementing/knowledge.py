@@ -111,29 +111,23 @@ class ExactSum:
         return clone
 
     def expansion(self) -> list[float]:
-        """The non-overlapping partials, in internal order.
+        """The canonical expansion of the exact total, smallest first.
 
-        This is the accumulator's *exact* state, not just its rounded
-        total: rebuilding from it with :meth:`from_expansion` restores
-        the accumulator verbatim, so every subsequent :meth:`add` lands
-        on bit-for-bit the same partials it would have without the
-        round-trip.  This is what the durable wire format
-        (:mod:`repro.durability`) persists.
+        c₀ is :attr:`value`, c₁ the correctly-rounded exact remainder,
+        and so on until zero (an exact zero is ``[]``): a function of
+        the exact total alone, not of the order of the additions.  The
+        durable wire format (:mod:`repro.durability`) persists it, and
+        ``ExactSum(expansion)`` rebuilds the total.
         """
-        return list(self._partials)
-
-    @classmethod
-    def from_expansion(cls, partials: Iterable[float]) -> "ExactSum":
-        """Rebuild from :meth:`expansion` output.
-
-        The partials are adopted verbatim — *not* re-added through
-        :meth:`add` — because a re-accumulation could legally settle on
-        a different (equal-sum) expansion, and replayed folds must walk
-        exactly the same internal states as the uninterrupted run.
-        """
-        total = cls()
-        total._partials = [float(partial) for partial in partials]
-        return total
+        partials = self._partials
+        if len(partials) < 2:
+            return partials[:] if partials and partials[0] else []
+        terms = partials[:]
+        canonical: list[float] = []
+        while head := math.fsum(terms):  # the exact remainder, rounded
+            canonical.append(head)
+            terms.append(-head)
+        return canonical[::-1]
 
     @property
     def value(self) -> float:

@@ -21,9 +21,10 @@ exact shard algebra (:mod:`repro.core.complementing`,
   since the last round
   (:meth:`~repro.knowledge.KnowledgeStore.export_delta`: a
   :meth:`~repro.knowledge.KnowledgeStore.to_partial` snapshot minus the
-  previous baseline, by the algebra's exact inverse); the coordinator
-  folds the deltas into one global shard per venue and rebases every
-  shard on exactly the evidence it is missing.
+  venue's global shard, which every shard holds after a round, by the
+  algebra's exact inverse); the coordinator folds the deltas into that
+  global shard and rebases every shard on the other shards' deltas.
+  The shard count is fixed for the cluster's lifetime.
 
 Invariants (proved by ``tests/test_distributed.py``):
 

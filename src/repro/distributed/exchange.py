@@ -6,21 +6,20 @@ exchanges the shards' priors diverge — each complements against a
 partial view.  The exchange reconciles them through the shard algebra,
 and *exactly*:
 
-1. **Export.**  Each shard exports, per venue, the delta of its
-   knowledge store since the last exchange —
-   :meth:`~repro.knowledge.KnowledgeStore.export_delta`, a
-   :meth:`~repro.knowledge.KnowledgeStore.to_partial` snapshot with the
-   previous round's baseline subtracted through the algebra's exact
-   inverse.  The delta is bit-for-bit the epochs the shard folded in
-   between.
-2. **Fold.**  The coordinator folds every delta into one global
-   :class:`~repro.core.complementing.PartialKnowledge` per venue.
+1. **Export.**  After a round every shard holds the venue's global
+   aggregate ``G``, so each shard *i* exports ``delta_i`` =
+   :meth:`~repro.knowledge.KnowledgeStore.export_delta` of ``G``: its
+   :meth:`~repro.knowledge.KnowledgeStore.to_partial` snapshot with ``G``
+   subtracted through the algebra's exact inverse — the evidence it
+   folded since the last round.
+2. **Fold.**  The coordinator folds ``total = Σ delta_j`` into ``G``, one
+   global :class:`~repro.core.complementing.PartialKnowledge` per venue.
    Folding is commutative and associative with exact-sum dwell totals,
    so the global aggregate is independent of shard count, arrival order
    and exchange schedule.
-3. **Rebase.**  Each shard receives exactly the evidence it is missing —
-   the global aggregate minus what the shard already holds, again by
-   exact subtraction — and folds it into its live knowledge.
+3. **Rebase.**  Each shard folds ``total − delta_i`` — exactly the
+   other shards' evidence, ``Σ_{j≠i} delta_j`` — into its live
+   knowledge, and so holds the new ``G``.
 
 The invariant this buys (proved by ``tests/test_distributed.py``):
 after any full exchange round, **every shard's live knowledge equals —
@@ -29,9 +28,11 @@ far, and therefore the one-shot batch knowledge once a finite feed has
 drained.  Between rounds a shard's prior is its own evidence plus the
 cluster state as of the last rebase: stale, never wrong.
 
-The protocol is additive, so it requires unbounded retention: a shard
-that retires or decays evidence cannot express its change since the
-baseline as an additive delta (the subtraction would go negative).
+Nothing is kept per shard, so the shard count is fixed (a newcomer would
+not hold ``G``).  The protocol is additive, so it requires unbounded
+retention: a shard that retires or decays evidence cannot express its
+change since ``G`` as an additive delta (the subtraction would go
+negative).
 """
 
 from __future__ import annotations
@@ -85,10 +86,10 @@ class ExchangeStats:
 class KnowledgeExchange:
     """Coordinates exact knowledge merges across shard services.
 
-    Owns the per-venue global :class:`PartialKnowledge` aggregate and a
-    per-``(shard, venue)`` baseline (the snapshot each shard's store was
-    last rebased to).  :meth:`exchange` runs one full round over a list
-    of shard services; shards must be quiescent while it runs (the
+    Owns the per-venue global :class:`PartialKnowledge` aggregate, which
+    every shard's store holds after a round.  :meth:`exchange` runs one
+    full round over a list of shard services, as many every round;
+    shards must be quiescent while it runs (the
     :class:`~repro.distributed.ShardedIngestService` guarantees that by
     exchanging between cluster windows).
     """
@@ -96,7 +97,7 @@ class KnowledgeExchange:
     def __init__(self) -> None:
         self._global: dict[str, PartialKnowledge] = {}
         self._smoothing: dict[str, float] = {}
-        self._baselines: dict[tuple[int, str], PartialKnowledge] = {}
+        self._shards: int | None = None  # the previous round's count
         self.stats = ExchangeStats()
 
     # ------------------------------------------------------------------
@@ -108,8 +109,17 @@ class KnowledgeExchange:
         """Run one full exchange round; returns its summary.
 
         After this returns, every shard's live knowledge for every venue
-        it serves equals the merged global knowledge, bit for bit.
+        it serves equals the merged global knowledge, bit for bit.  A
+        shard count other than the previous round's raises
+        :class:`~repro.errors.ConfigError`.
         """
+        if self._shards not in (None, len(shards)):
+            raise ConfigError(
+                f"the exchange's last round ran over {self._shards} shards, "
+                f"not {len(shards)}: a shard that missed a round does not "
+                "hold the merged knowledge"
+            )
+        self._shards = len(shards)
         registry = get_registry()
         started = time.perf_counter()
         deltas_folded = 0
@@ -119,24 +129,22 @@ class KnowledgeExchange:
             {v for shard in shards for v in shard.dispatcher.venue_ids}
         )
         for venue_id in venue_ids:
-            participants: list[tuple[int, KnowledgeStore]] = []
-            for index, shard in enumerate(shards):
+            stores: list[KnowledgeStore] = []
+            for shard in shards:
                 if venue_id not in shard.dispatcher.translators:
                     continue
                 store = shard.ensure_store(venue_id)
                 if store is None:
                     continue  # venue builds no knowledge at all
                 self._require_additive(store, venue_id)
-                participants.append((index, store))
-            if not participants:
+                stores.append(store)
+            if not stores:
                 continue
 
-            # Export: each shard's delta since its last baseline.
-            deltas: dict[int, PartialKnowledge] = {}
-            for index, store in participants:
-                baseline = self._baselines.get((index, venue_id))
-                delta = store.export_delta(baseline)
-                deltas[index] = delta
+            # Export: each shard's evidence since the last round.
+            merged = self._global.get(venue_id)
+            deltas = [store.export_delta(merged) for store in stores]
+            for delta in deltas:
                 if delta.sequences_seen:
                     deltas_folded += 1
                     if registry.enabled:
@@ -146,34 +154,21 @@ class KnowledgeExchange:
                             venue=venue_id,
                         ).observe(delta.sequences_seen)
 
-            # Fold: merge the deltas into the global aggregate.
-            merged = self._global.get(venue_id)
+            # Fold: the round's total into the global aggregate.
+            total = deltas[0].merge(*deltas[1:])
             if merged is None:
-                regions = deltas[participants[0][0]].regions
-                merged = PartialKnowledge(regions=list(regions))
+                merged = PartialKnowledge(regions=list(total.regions))
                 self._global[venue_id] = merged
-                self._smoothing[venue_id] = participants[0][
-                    1
-                ].knowledge.smoothing
-            for index, _ in participants:
-                merged.add(deltas[index])
+                self._smoothing[venue_id] = stores[0].knowledge.smoothing
+            merged.add(total)
 
-            # Rebase: hand each shard exactly what it is missing.  The
-            # post-round baseline is the same merged snapshot for every
-            # participant; baselines are only ever subtracted *from
-            # copies*, so one frozen copy is safely shared (keyed per
-            # shard so a service added between rounds starts afresh).
+            # Rebase: each shard folds the other shards' evidence.
             rebase_started = time.perf_counter()
-            snapshot = merged.merge()  # no-args merge == deep copy
-            for index, store in participants:
-                missing = merged.merge()
-                baseline = self._baselines.get((index, venue_id))
-                if baseline is not None:
-                    missing.subtract(baseline)
-                missing.subtract(deltas[index])
+            for delta, store in zip(deltas, stores):
+                missing = total.merge()  # no-args merge == deep copy
+                missing.subtract(delta)
                 if missing.sequences_seen or missing.outgoing_totals:
                     store.knowledge.fold(missing)
-                self._baselines[(index, venue_id)] = snapshot
             rebase_seconds += time.perf_counter() - rebase_started
             venues_touched.append(venue_id)
             self.stats.sequences_merged[venue_id] = merged.sequences_seen
@@ -221,9 +216,9 @@ class KnowledgeExchange:
         """The exchange's full state as a codec payload.
 
         Everything a restarted coordinator needs to keep rebasing
-        exactly: the per-venue global aggregates, smoothing, every
-        ``(shard, venue)`` baseline, and the cumulative counts (no wall
-        time: the state is a function of the windows exchanged).  The
+        exactly: the per-venue global aggregates, smoothing and the
+        cumulative counts (nothing per shard, and no wall time: the
+        state is a function of the windows exchanged).  The
         sharded service persists this after each round
         (:mod:`repro.durability` wire format, bit-for-bit round-trip).
         """
@@ -235,10 +230,6 @@ class KnowledgeExchange:
                 for venue, partial in self._global.items()
             },
             "smoothing": dict(self._smoothing),
-            "baselines": [
-                [shard, venue, encode(partial)]
-                for (shard, venue), partial in self._baselines.items()
-            ],
             "stats": {
                 "rounds": self.stats.rounds,
                 "deltas_folded": self.stats.deltas_folded,
@@ -256,10 +247,6 @@ class KnowledgeExchange:
             for venue, partial in payload["global"].items()
         }
         self._smoothing = dict(payload["smoothing"])
-        self._baselines = {
-            (shard, venue): decode(partial)
-            for shard, venue, partial in payload["baselines"]
-        }
         counters = payload["stats"]
         self.stats = ExchangeStats(
             rounds=counters["rounds"],

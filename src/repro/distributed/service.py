@@ -89,20 +89,23 @@ class ClusterStats:
     #: Per-shard cumulative live stats, in shard-index order.
     per_shard: tuple[LiveStats, ...] = ()
     exchange: ExchangeStats = field(default_factory=ExchangeStats)
+    #: Cluster windows recovered, not translated by this process.
+    recovered_windows: int = 0
 
     @property
     def records_per_second(self) -> float:
-        """Sustained record throughput over the cluster's lifetime."""
+        """Record throughput of this process's windows."""
         if self.elapsed_seconds <= 0:
             return 0.0
-        return self.records / self.elapsed_seconds
+        recovered = sum(stats.recovered_records for stats in self.per_shard)
+        return (self.records - recovered) / self.elapsed_seconds
 
     @property
     def windows_per_second(self) -> float:
-        """Sustained cluster-window throughput."""
+        """Cluster-window throughput of this process's windows."""
         if self.elapsed_seconds <= 0:
             return 0.0
-        return self.windows / self.elapsed_seconds
+        return (self.windows - self.recovered_windows) / self.elapsed_seconds
 
     def format_table(self) -> str:
         """Small fixed-width rendering for CLI / bench output."""
@@ -216,6 +219,7 @@ class ShardedIngestService:
         self.live_config = self.shards[0].live_config
         self._open = False
         self._windows = 0
+        self._recovered_windows = 0
         self._since_exchange = 0
         self._started: float | None = None
         self._elapsed = 0.0
@@ -228,15 +232,25 @@ class ShardedIngestService:
 
         When a shard's or the cluster's recovery refuses the state
         directory, everything already opened is closed again before the
-        error propagates.
+        error propagates; another shard count than the directory's is
+        refused before any shard touches it.
         """
         self._open = True
         try:
+            recovering = self._state_dir and not self._cluster_recovered
+            if recovering:
+                self._recover_cluster()  # before any shard opens its journal
             for shard in self.shards:
                 shard.open()  # each shard recovers from its own journal
-            if self._state_dir is not None and not self._cluster_recovered:
-                self._recover_cluster()
-                self._cluster_recovered = True
+            most = max(shard.stats.windows for shard in self.shards)
+            if recovering and most > self._windows:
+                raise PersistenceError(
+                    f"a shard recovered {most} windows but the cluster state "
+                    f"({self._cluster_path()}) records only {self._windows}; "
+                    "the crash was not at a cluster-window boundary and the "
+                    "state directory is inconsistent"
+                )
+            self._cluster_recovered = True
         except BaseException:
             self.close()
             raise
@@ -262,15 +276,16 @@ class ShardedIngestService:
     # Durable cluster state (see :mod:`repro.durability`)
     # ------------------------------------------------------------------
     # The shards journal their own windows; the cluster adds two files:
-    # ``cluster.json`` (window/exchange counters, refreshed after every
-    # cluster window) and ``exchange.json`` (the coordinator's merged
-    # aggregates and per-shard baselines, refreshed after every round).
-    # Both are published by atomic rename.  Right after a round, every
-    # journaled shard is checkpointed — the rebase folds cluster
-    # evidence into shard knowledge *outside* the shard's own fold path,
-    # so only a snapshot makes it durable — and the recovery guarantee
-    # is therefore at cluster-window boundaries: kill between windows,
-    # reopen, and shards, exchange and counters resume bit for bit.
+    # ``cluster.json`` (shard count and window/exchange counters,
+    # refreshed after every cluster window) and ``exchange.json`` (the
+    # coordinator's merged aggregate per venue, refreshed after every
+    # round).  Both are published by atomic rename.  Right after a
+    # round, every journaled shard is checkpointed — the rebase folds
+    # cluster evidence into shard knowledge *outside* the shard's own
+    # fold path, so only a snapshot makes it durable — and the recovery
+    # guarantee is therefore at cluster-window boundaries: kill between
+    # windows, reopen with the same shard count, and shards, exchange
+    # and counters resume bit for bit.
     def _cluster_path(self) -> Path:
         return self._state_dir / "cluster.json"
 
@@ -285,6 +300,7 @@ class ShardedIngestService:
             {
                 "magic": "trips-cluster",
                 "version": FORMAT_VERSION,
+                "shards": len(self.shards),
                 "windows": self._windows,
                 "since_exchange": self._since_exchange,
             },
@@ -304,7 +320,8 @@ class ShardedIngestService:
 
     def _recover_cluster(self) -> None:
         # No cluster.json counts as zero cluster windows: shards that
-        # journaled any still trip the boundary check below.
+        # journaled any trip the boundary check in open().  Every shard
+        # holds the merged knowledge, so another shard count is refused.
         exchange_path = self._exchange_path()
         cluster_path = self._cluster_path()
         exchange_payload = read_state_file(exchange_path, "trips-exchange")
@@ -315,8 +332,14 @@ class ShardedIngestService:
         if cluster_payload is not None:
             require_fields(
                 cluster_payload, str(cluster_path),
-                "windows", "since_exchange",
+                "windows", "since_exchange", shards=int,
             )
+            if cluster_payload["shards"] != len(self.shards):
+                raise PersistenceError(
+                    f"{cluster_path} was journaled by "
+                    f"{cluster_payload['shards']} shards but this service "
+                    f"runs {len(self.shards)}"
+                )
             self._windows = cluster_payload["windows"]
             self._since_exchange = cluster_payload["since_exchange"]
             rounds_ran = self._since_exchange < self._windows
@@ -326,14 +349,7 @@ class ShardedIngestService:
                     f"but {exchange_path} is missing; the merged cluster "
                     "knowledge cannot be restored"
                 )
-        most = max(shard.stats.windows for shard in self.shards)
-        if most > self._windows:
-            raise PersistenceError(
-                f"a shard recovered {most} windows but the cluster state "
-                f"({cluster_path}) records only {self._windows}; the crash "
-                "was not at a cluster-window boundary and the state "
-                "directory is inconsistent"
-            )
+        self._recovered_windows = self._windows
 
     # ------------------------------------------------------------------
     # Window processing
@@ -506,6 +522,7 @@ class ShardedIngestService:
             semantics=sum(stats.semantics for stats in per_shard),
             elapsed_seconds=self._elapsed,
             per_shard=per_shard,
+            recovered_windows=self._recovered_windows,
             exchange=replace(
                 self.exchange.stats,
                 sequences_merged=dict(

@@ -8,11 +8,10 @@ evaporate on restart.  This package makes that state durable:
 - :mod:`~repro.durability.codec` — a versioned, self-describing wire
   format for :class:`~repro.core.complementing.PartialKnowledge`,
   :class:`~repro.core.complementing.MobilityKnowledge` and the
-  :class:`~repro.knowledge.KnowledgeStore` epoch ring, persisting
-  :class:`~repro.core.complementing.ExactSum` expansions verbatim so
-  round-trips are **bit-for-bit** — a recovered store does not merely
-  equal the lost one, it walks identical internal states on every
-  subsequent fold.  The same module encodes a window's phase-one output
+  :class:`~repro.knowledge.KnowledgeStore` epoch ring, persisting each
+  :class:`~repro.core.complementing.ExactSum` by its exact value, so
+  round-trips are **bit-for-bit** and equal knowledge encodes to equal
+  bytes, whatever order it was folded in.  The same module encodes a window's phase-one output
   (:func:`encode_phase_one` / :func:`decode_phase_one`): cleaning
   reports, repaired records, semantics and snippets, equal pair for
   pair after the round-trip — also the format a phase-one result

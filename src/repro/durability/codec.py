@@ -10,19 +10,18 @@ instead of silently misreading.  Version 2 added the phase-one payload
 (:func:`encode_phase_one`): a retained window's cleaning and annotation
 output rides beside its raw record batch, so recovery decodes it instead
 of re-running clean + annotate.  Version 3 dropped every wall-clock field
-from the state files, so their bytes are a function of the feed alone.
-The phase-one payload is also how a phase-one result crosses the
+from the state files, so their bytes are a function of the feed alone;
+version 4 made equal knowledge encode to equal bytes.  The phase-one
+payload is also how a phase-one result crosses the
 ``processes`` backend's process boundary: the worker encodes it, the
 engine decodes it against the chunk it sent.
 
 The round-trip guarantee is **bit-for-bit**, not merely value-equal:
 
 - :class:`~repro.core.complementing.ExactSum` accumulators persist
-  their full Shewchuk expansion (:meth:`ExactSum.expansion`) and are
-  rebuilt verbatim (:meth:`ExactSum.from_expansion`), never re-added —
-  a re-accumulation could settle on a different equal-sum expansion,
-  and replayed folds must walk exactly the internal states the
-  uninterrupted run would have.
+  their canonical expansion (:meth:`ExactSum.expansion`), a function of
+  the exact value alone, and decode as ``ExactSum(partials)``: after
+  any further additions the clone encodes to the original's bytes.
 - Floats ride through JSON via :func:`repr`, which Python round-trips
   exactly; integer counts stay integers (and decayed float weights stay
   floats) because JSON distinguishes the two.
@@ -63,7 +62,7 @@ from ..timeutil import TimeRange
 
 #: Version of the wire format; stamped into WAL headers and snapshot
 #: envelopes, checked on load.
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 
 def require_fields(
@@ -221,9 +220,7 @@ def _decode_stats(payload: dict) -> RegionStats:
     stats = RegionStats(
         visits=payload["visits"], stay_count=payload["stays"]
     )
-    # Adopt the dwell expansion verbatim (the constructor would
-    # re-accumulate and could settle on a different equal-sum state).
-    stats._dwell = ExactSum.from_expansion(payload["dwell"])
+    stats._dwell = ExactSum(payload["dwell"])
     return stats
 
 
@@ -292,7 +289,7 @@ def _decode_store(payload: dict) -> KnowledgeStore:
 
 
 _DECODERS = {
-    "xsum": lambda payload: ExactSum.from_expansion(payload["p"]),
+    "xsum": lambda payload: ExactSum(payload["p"]),
     "rstats": _decode_stats,
     "partial": _decode_partial,
     "knowledge": _decode_knowledge,

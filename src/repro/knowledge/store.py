@@ -238,18 +238,14 @@ class KnowledgeStore:
     ) -> PartialKnowledge:
         """The counts folded since ``baseline``, as one shard.
 
-        ``baseline`` is a previous :meth:`to_partial` snapshot of this
-        store; the delta is the current export with the baseline
-        subtracted through the shard algebra's exact inverse, so it is
-        bit-for-bit the epochs folded in between.  With no baseline the
-        delta is the full export.  This is the distributed exchange's
-        per-epoch-roll export (:mod:`repro.distributed`): under additive
-        (unbounded) retention, folding every shard's deltas reproduces
-        the single-instance fold exactly.  A store that has *retired or
-        rescaled* evidence since the baseline cannot express the change
-        as an additive delta — the subtraction raises
-        :class:`~repro.errors.InferenceError` — which is why the
-        exchange requires unbounded retention.
+        ``baseline`` is knowledge this store holds — a previous
+        :meth:`to_partial` snapshot, or the merged aggregate the
+        distributed exchange (:mod:`repro.distributed`) rebased every
+        shard to — and is subtracted through the exact inverse; with no
+        baseline the delta is the full export.  A store that *retired or
+        rescaled* evidence since cannot express the change additively:
+        the subtraction raises :class:`~repro.errors.InferenceError`,
+        which is why the exchange requires unbounded retention.
         """
         delta = self.to_partial()
         if baseline is not None:

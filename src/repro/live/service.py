@@ -209,6 +209,10 @@ class LiveStats:
     #: Neither is journaled: after recovery both count this process only,
     #: while the counts above include recovered windows.
     elapsed_seconds: float = 0.0
+    #: Recovered windows and records: counted above, but no rate counts
+    #: them, since this process did not translate them.
+    recovered_windows: int = 0
+    recovered_records: int = 0
     #: WAL entry bytes appended by this service's journal (0 without a
     #: configured ``state_dir``).
     wal_bytes: int = 0
@@ -218,17 +222,17 @@ class LiveStats:
 
     @property
     def windows_per_second(self) -> float:
-        """Sustained window throughput over the service's lifetime."""
+        """Window throughput of this process's windows."""
         if self.elapsed_seconds <= 0:
             return 0.0
-        return self.windows / self.elapsed_seconds
+        return (self.windows - self.recovered_windows) / self.elapsed_seconds
 
     @property
     def records_per_second(self) -> float:
-        """Sustained record throughput over the service's lifetime."""
+        """Record throughput of this process's windows."""
         if self.elapsed_seconds <= 0:
             return 0.0
-        return self.records / self.elapsed_seconds
+        return (self.records - self.recovered_records) / self.elapsed_seconds
 
     def format_table(self) -> str:
         """Small fixed-width rendering for CLI / bench output."""
@@ -385,6 +389,7 @@ class LiveTranslationService:
             DurableStateJournal(state_dir) if state_dir is not None else None
         )
         self._recovered = False
+        self._recovered_counts = (0, 0)  # (windows, records)
         self._since_snapshot = 0
         self._ahead: _BegunWindow | None = None  # begun, not finished
 
@@ -720,7 +725,7 @@ class LiveTranslationService:
         """Restore state from the journal: snapshot, then the WAL tail.
 
         The snapshot restores each venue's store (codec round-trips are
-        bit-for-bit, ``ExactSum`` expansions verbatim) and counters; each
+        bit-for-bit, ``ExactSum`` totals exact) and counters; each
         WAL entry then re-folds its venue deltas and re-rolls — retention
         is deterministic, and the retired epoch indices must match what
         the entry logged, or the log has diverged from the code and
@@ -735,6 +740,10 @@ class LiveTranslationService:
         for entry in entries:
             self._replay_entry(entry)
         self._since_snapshot = len(entries)
+        self._recovered_counts = (
+            self._windows,
+            sum(state.stats.records for state in self._states.values()),
+        )
         registry = get_registry()
         if registry.enabled:
             registry.gauge("trips_recovery_windows_replayed").set(
@@ -958,6 +967,8 @@ class LiveTranslationService:
             semantics=sum(v.semantics for v in venues.values()),
             translate_seconds=self._translate_seconds,
             elapsed_seconds=self._elapsed,
+            recovered_windows=self._recovered_counts[0],
+            recovered_records=self._recovered_counts[1],
             wal_bytes=(
                 self._journal.wal.bytes_written
                 if self._journal is not None

@@ -346,7 +346,7 @@ class MetricsRegistry:
                     "counts": list(h._counts),
                     "count": h._count,
                     "sum": h._sum.value,
-                    "sum_partials": list(h._sum._partials),
+                    "sum_partials": h._sum.expansion(),
                     "max": h._max,
                 }
                 for h in self._histograms.values()
@@ -385,11 +385,7 @@ class MetricsRegistry:
                 for index, count in enumerate(entry["counts"]):
                     histogram._counts[index] += count
                 histogram._count += entry["count"]
-                incoming = ExactSum()
-                incoming._partials = [
-                    float(p) for p in entry["sum_partials"]
-                ]
-                histogram._sum.merge(incoming)
+                histogram._sum.merge(ExactSum(entry["sum_partials"]))
                 if entry["max"] is not None and (
                     histogram._max is None or entry["max"] > histogram._max
                 ):

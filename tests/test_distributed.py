@@ -350,14 +350,11 @@ class TestConvergence:
                     assert shard.knowledge(venue) == merged
         assert set(stats.exchange.sequences_merged) == {"east", "west"}
 
-    def test_shard_added_between_rounds_starts_from_fresh_baseline(
-        self, reference
-    ):
-        """A shard that joins after rounds have already run has no
-        ``(shard, venue)`` baseline: its first round must export its
-        full evidence and receive the full cluster aggregate — and the
-        incumbent, whose delta since its last round is zero, must end
-        the round bit-for-bit equal to the newcomer."""
+    def test_shard_count_change_between_rounds_is_refused(self):
+        """The coordinator keeps one aggregate per venue, which every
+        shard holds after a round; a shard that joins (or leaves) between
+        rounds would break that, so a round over another number of shards
+        than the previous one is refused and folds nothing."""
         def make_shard():
             return LiveTranslationService(
                 {"east": Translator(make_two_shop_dsm())},
@@ -377,16 +374,15 @@ class TestConvergence:
                 incumbent.process_window(window, venue_id="east")
             first = exchange.exchange([incumbent])
             assert first.deltas == 1
-            # The newcomer joins with the remaining windows' evidence.
             for window in windows[2:]:
                 newcomer.process_window(window, venue_id="east")
-            second = exchange.exchange([incumbent, newcomer])
-            # Only the newcomer carried evidence this round.
-            assert second.deltas == 1
-            merged = exchange.merged_knowledge("east")
-            assert merged == reference.knowledge
-            assert incumbent.knowledge("east") == reference.knowledge
-            assert newcomer.knowledge("east") == reference.knowledge
+            before = encode(incumbent.store("east"))
+            with pytest.raises(ConfigError, match="1 shards, not 2"):
+                exchange.exchange([incumbent, newcomer])
+            assert exchange.stats.rounds == 1
+            assert encode(incumbent.store("east")) == before
+            # The same shard list as before still exchanges.
+            assert exchange.exchange([incumbent]).deltas == 0
 
     def test_zero_delta_venue_export_is_stable(self):
         """A venue no shard has evidence for exports zero deltas: the

@@ -5,8 +5,8 @@ recovered from its state directory (snapshot + WAL tail) finishes the
 feed to a ``finalize()`` bit-for-bit equal to an uninterrupted run —
 under every retention policy, and for every shard of a sharded cluster.
 That only holds if every layer below is exact, so the suite works
-upward: codec round-trips (ExactSum expansions restored verbatim, and
-phase-one output on dirty feeds), WAL torn-tail/corruption semantics,
+upward: codec round-trips (ExactSum bytes a function of the value alone,
+and phase-one output on dirty feeds), WAL torn-tail/corruption semantics,
 snapshot filtering, then the recovery property itself — which never
 re-runs phase one.
 """
@@ -76,11 +76,24 @@ WINDOW_SECONDS = 60.0
 finite_floats = st.floats(
     min_value=-1e12, max_value=1e12, allow_nan=False, allow_infinity=False
 )
+#: Mixed signs over magnitudes 1e-8..1e16, where addition order moves
+#: the accumulator's internal partials most.
+mixed_floats = st.builds(
+    lambda sign, mantissa, exponent: sign * mantissa * 10.0**exponent,
+    st.sampled_from([-1.0, 1.0]),
+    st.floats(min_value=1.0, max_value=10.0),
+    st.integers(min_value=-8, max_value=15),
+)
 
 
 def json_round_trip(payload):
     """Push a codec payload through the actual wire representation."""
     return json.loads(json.dumps(payload, separators=(",", ":")))
+
+
+def wire(obj) -> str:
+    """An object's encoded bytes, as the state files write them."""
+    return json.dumps(encode(obj), separators=(",", ":"), sort_keys=True)
 
 
 def store_state(store: KnowledgeStore) -> dict:
@@ -108,9 +121,9 @@ class TestCodecRoundTrip:
     def test_exactsum_expansion_restored_verbatim(self, values):
         total = ExactSum(values)
         clone = decode(json_round_trip(encode(total)))
-        # Not just equal-sum: the internal expansion is identical, so
-        # the restored accumulator walks the same states forever after.
-        assert clone._partials == total._partials
+        # The wire form survives verbatim: the clone re-encodes to the
+        # bytes it was decoded from.
+        assert wire(clone) == wire(total)
         assert clone == total
         assert clone.value == total.value
 
@@ -122,7 +135,26 @@ class TestCodecRoundTrip:
         for value in more:
             total.add(value)
             clone.add(value)
-        assert clone._partials == total._partials
+            assert wire(clone) == wire(total)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data(), st.lists(mixed_floats, max_size=16))
+    def test_equal_sums_encode_to_equal_bytes(self, data, values):
+        """Knowledge is a value: one multiset of floats, summed in any
+        order, in any grouping, or through a merge / subtract detour,
+        encodes to the same bytes."""
+        shuffled = data.draw(st.permutations(values))
+        cut = data.draw(st.integers(min_value=0, max_value=len(values)))
+        noise = ExactSum(data.draw(st.lists(mixed_floats, max_size=8)))
+        grouped = ExactSum(shuffled[:cut])
+        grouped.merge(ExactSum(shuffled[cut:]))
+        detour = ExactSum(shuffled)
+        detour.merge(noise)
+        detour.subtract(noise)
+        reference = wire(ExactSum(values))
+        assert wire(ExactSum(shuffled)) == reference
+        assert wire(grouped) == reference
+        assert wire(detour) == reference
 
     @settings(max_examples=40, deadline=None)
     @given(corpora)
@@ -730,6 +762,34 @@ class TestCrashRecovery:
             reference = uninterrupted["clean", "unbounded"]
             assert service.finalize()["east"].results == reference["results"]
 
+    def test_rates_count_only_the_windows_this_process_translated(
+        self, tmp_path
+    ):
+        """Recovered windows are counted but were not translated by the
+        resumed process, whose elapsed time starts at its own first
+        window: its rates divide only what it translated."""
+        windows = feed_windows()
+        with make_service("unbounded", tmp_path / "state") as first:
+            for window in windows[:4]:
+                first.process_window(window, "east")
+        resumed = make_service("unbounded", tmp_path / "state")
+        with resumed:
+            recovered = resumed.stats
+            assert recovered.windows == 4 and recovered.records > 0
+            for window in windows[4:]:
+                resumed.process_window(window, "east")
+            stats = resumed.stats
+        assert (stats.recovered_windows, stats.recovered_records) == (
+            recovered.windows, recovered.records,
+        )
+        assert stats.elapsed_seconds > 0
+        assert stats.records_per_second == (
+            (stats.records - recovered.records) / stats.elapsed_seconds
+        )
+        assert stats.windows_per_second == (
+            (stats.windows - recovered.windows) / stats.elapsed_seconds
+        )
+
     def test_results_dropped_mode_recovers_without_batches(self, tmp_path):
         """With ``retain_results=False`` nothing journals raw batches:
         recovery is O(snapshot + WAL tail) and still restores knowledge
@@ -985,18 +1045,10 @@ class TestShardedRecovery:
             if thread.name.startswith("trips-shard")
         ]
 
-    @pytest.mark.parametrize(
-        "state_file",
-        [
-            "shard-0/wal.jsonl", "shard-0/snapshot.json", "cluster.json",
-            "exchange.json",
-        ],
-    )
-    def test_version_2_state_is_refused_by_name(self, tmp_path, state_file):
-        """Format 3 dropped the wall-clock fields; a version-2 file of
-        any kind is refused, naming the file and both versions, with no
-        fallback reader."""
-        assert FORMAT_VERSION == 3
+    def refuse_older_version(self, tmp_path, state_file, version):
+        """Journal a cluster, stamp one state file with ``version`` and
+        check the reopen refuses it, naming the file and both versions,
+        with no fallback reader."""
         state_dir = tmp_path / "cluster"
         with self.make_cluster(state_dir) as cluster:
             for window in feed_windows()[:5]:
@@ -1005,14 +1057,86 @@ class TestShardedRecovery:
         lines = path.read_bytes().splitlines(keepends=True)
         header = json.loads(lines[0])
         assert header["version"] == FORMAT_VERSION
-        header["version"] = 2
+        header["version"] = version
         lines[0] = json.dumps(header).encode() + b"\n"
         path.write_bytes(b"".join(lines))
         with pytest.raises(PersistenceError) as refused:
             self.make_cluster(state_dir).open()
         message = str(refused.value)
         assert path.name in message
-        assert "version 2" in message and "version 3" in message
+        assert f"version {version}" in message
+        assert f"version {FORMAT_VERSION}" in message
+
+    STATE_FILES = [
+        "shard-0/wal.jsonl", "shard-0/snapshot.json", "cluster.json",
+        "exchange.json",
+    ]
+
+    @pytest.mark.parametrize("state_file", STATE_FILES)
+    def test_version_2_state_is_refused_by_name(self, tmp_path, state_file):
+        """Format 3 dropped the wall-clock fields: a version-2 file of
+        any kind is refused."""
+        self.refuse_older_version(tmp_path, state_file, 2)
+
+    @pytest.mark.parametrize("state_file", STATE_FILES)
+    def test_version_3_state_is_refused_by_name(self, tmp_path, state_file):
+        """Format 4 writes canonical exact sums and drops the exchange's
+        per-shard baselines: a version-3 file of any kind is refused."""
+        assert FORMAT_VERSION == 4
+        self.refuse_older_version(tmp_path, state_file, 3)
+
+    @pytest.mark.parametrize("reopened", [2, 5])
+    def test_reopen_with_another_shard_count_is_refused(
+        self, tmp_path, reopened
+    ):
+        """Every shard holds the merged knowledge, so a directory four
+        shards journaled cannot resume on two (their shards' evidence
+        would be lost) or five (the newcomer would hold none of it): the
+        reopen names both counts and leaves the directory untouched, and
+        the right count then resumes to the uninterrupted run."""
+        windows = feed_windows()
+        reference = self.make_cluster(shards=4)
+        with reference:
+            for window in windows:
+                reference.process_window(window, "east")
+            reference_final = reference.finalize()
+        state_dir = tmp_path / "cluster"
+        with self.make_cluster(state_dir, shards=4) as crashed:
+            for window in windows[:3]:
+                crashed.process_window(window, "east")
+
+        def snapshot_dir():
+            return {
+                path.relative_to(state_dir): path.read_bytes()
+                for path in state_dir.rglob("*")
+                if path.is_file()
+            }
+
+        before = snapshot_dir()
+        refused = self.make_cluster(state_dir, shards=reopened)
+        with pytest.raises(PersistenceError) as error:
+            refused.open()
+        message = str(error.value)
+        assert "4 shards" in message and f"runs {reopened}" in message
+        assert snapshot_dir() == before
+
+        with self.make_cluster(state_dir, shards=4) as resumed:
+            for window in windows[3:]:
+                resumed.process_window(window, "east")
+            finalized = resumed.finalize()
+            stats = resumed.stats
+        assert finalized["east"].results == reference_final["east"].results
+        assert finalized["east"].knowledge == reference_final["east"].knowledge
+        # The resumed cluster's rates count only what it translated.
+        assert stats.recovered_windows == 3
+        recovered = sum(shard.recovered_records for shard in stats.per_shard)
+        assert 0 < recovered < stats.records
+        assert stats.records_per_second == (
+            (stats.records - recovered) / stats.elapsed_seconds
+        )
+        assert stats.windows_per_second == (
+            (stats.windows - 3) / stats.elapsed_seconds
+        )
 
     @pytest.mark.parametrize("kill_at", [0, 3, 6])
     def test_cluster_kill_and_recover_bit_for_bit(self, tmp_path, kill_at):

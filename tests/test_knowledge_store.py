@@ -29,6 +29,7 @@ from repro.core.semantics import (
     MobilitySemanticsSequence,
 )
 from repro.core.translator import run_phase_one_chunk
+from repro.durability import encode
 from repro.engine import Engine, EngineConfig
 from repro.errors import ConfigError, InferenceError
 from repro.knowledge import (
@@ -109,12 +110,15 @@ class TestExactInverse:
     @given(epoch_streams)
     def test_retiring_first_epoch_equals_never_folding_it(self, epochs):
         """The acceptance property: fold epochs A,B,C,... then unfold A
-        == knowledge built over only B,C,... — exact equality."""
+        == knowledge built over only B,C,... — exact equality, down to
+        the encoded bytes (a retired dwell total encodes as the exact
+        zero a never-visited region does)."""
         knowledge = MobilityKnowledge(regions=list(REGIONS))
         for epoch in epochs:
             knowledge.fold(partial_of(epoch))
         knowledge.unfold(partial_of(epochs[0]))
         assert knowledge == knowledge_of(*epochs[1:])
+        assert encode(knowledge) == encode(knowledge_of(*epochs[1:]))
 
     @settings(max_examples=25, deadline=None)
     @given(epoch_streams)

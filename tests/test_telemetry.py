@@ -195,10 +195,8 @@ def exact_fingerprint(registry: MetricsRegistry) -> dict:
                 tuple(map(tuple, e["labels"])),
                 tuple(e["counts"]),
                 e["count"],
-                # The partial *list* is not canonical (different exact
-                # accumulation orders can settle on different expansions
-                # of the same exact real); the exact value it represents
-                # is, and math.fsum rounds an expansion exactly.
+                # The exact value the partials represent (math.fsum
+                # rounds an expansion exactly).
                 e["sum"],
                 math.fsum(e["sum_partials"]),
                 e["max"],
