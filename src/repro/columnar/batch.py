@@ -78,18 +78,12 @@ class RecordBatch:
         reports); the column is carried verbatim and round-tripped
         bit for bit alongside the coordinates.
         """
-        timestamps = array("d")
-        xs = array("d")
-        ys = array("d")
-        floors = array("q")
-        device_ids: list[str] = []
-        for record in records:
-            location = record.location
-            timestamps.append(record.timestamp)
-            xs.append(location.x)
-            ys.append(location.y)
-            floors.append(location.floor)
-            device_ids.append(record.device_id)
+        locations = [record.location for record in records]
+        timestamps = array("d", [record.timestamp for record in records])
+        xs = array("d", [location.x for location in locations])
+        ys = array("d", [location.y for location in locations])
+        floors = array("q", [location.floor for location in locations])
+        device_ids = [record.device_id for record in records]
         quality_column = None
         if qualities is not None:
             quality_column = array("d", qualities)

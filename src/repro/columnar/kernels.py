@@ -6,12 +6,12 @@ overrides *only* the point-location / distance seam the profile
 
 * :class:`ColumnarSpeedValidator` — ``SpeedValidator`` with memoized
   locates through a :class:`~repro.columnar.locate.LocatorSession`, an
-  identity-keyed per-pair feasibility memo, and ``Topology._route``'s
-  search with the per-``node_b`` exit legs hoisted out of the ``node_a``
-  loop.  Every arithmetic expression on the decision path (``math.hypot``
-  planar distances, the nav-graph ``entry + through + exit_leg`` sums, the
-  floor-cost subtraction) is the original's, evaluated in the original
-  order, so every feasibility verdict is bit-for-bit identical.
+  identity-keyed per-pair feasibility memo, the straight-move verdict
+  decided inline, and the topology's own door search for the rest.  Every
+  arithmetic expression on the decision path (``math.hypot`` planar
+  distances, the speed quotient, the floor-cost subtraction) is the
+  original's, evaluated in the original order, so every feasibility
+  verdict is bit-for-bit identical.
 * :class:`ColumnarCleaner` — ``RawDataCleaner`` rewired, not rewritten:
   the inherited detect-and-repair loop runs against the memoizing
   validator, and its floor corrector and interpolator locate and route
@@ -19,7 +19,8 @@ overrides *only* the point-location / distance seam the profile
   re-checks and repair probes cost a dict hit.
 * :class:`ColumnarSplitter` — ``DensitySplitter`` whose ``_core_flags``
   (the O(n·k) density loop) runs over flat timestamp/x/y/floor lists
-  with the identical near-before-gap condition order.
+  with the identical near-before-gap condition order, and stops scanning
+  a record once it is core.
 * :class:`ColumnarSpatialMatcher` — ``SpatialMatcher`` whose single
   point-location hook resolves through the session's primary-region memo;
   voting, tie-breaks and coverage run in the inherited code.
@@ -94,7 +95,19 @@ class ColumnarSpeedValidator(SpeedValidator):
         hit = memo.get(key)
         if hit is not None:
             return hit[0]
-        verdict = super().transition_feasible(previous, current)
+        a, b = previous.location, current.location
+        if a.floor == b.floor and self._straight_allowed(a, b):
+            # SpeedValidator.transition_feasible over indoor_distance's
+            # straight move: one floor, so no floor cost comes off, and a
+            # non-finite hypot fails both comparisons as it fails isfinite.
+            distance = _hypot(a.x - b.x, a.y - b.y)
+            elapsed = current.timestamp - previous.timestamp
+            if elapsed <= 0.0:
+                verdict = distance <= 1e-6
+            else:
+                verdict = distance / elapsed <= self.max_speed
+        else:
+            verdict = super().transition_feasible(previous, current)
         memo[key] = (verdict, previous, current)
         return verdict
 
@@ -123,17 +136,9 @@ class ColumnarSpeedValidator(SpeedValidator):
     def _route(
         self, a: Point, b: Point
     ) -> tuple[float, tuple[str, str] | None]:
-        """``Topology._route``'s search: the distance and the nav-node pair
-        that realizes it (``None`` when the route is direct or absent).
-
-        The arithmetic is the original's: ``entry + through + exit_leg``
-        stays left-associative and the strict ``<`` keeps the first best
-        pair, because summation order decides bits.  Only the exit legs
-        moved — they depend on ``node_b`` alone, so they are measured once
-        per ``node_b`` instead of once per ``(node_a, node_b)`` pair, with
-        ``planar_distance_to``'s own ``hypot`` of the same differences.
-        """
-        topology = self.topology
+        """``Topology._route`` located through the session: the distance
+        and the nav-node pair that realizes it (``None`` when the route is
+        direct or absent)."""
         part_a = self._locate_id(a)
         part_b = self._locate_id(b)
         if part_a is None or part_b is None:
@@ -144,32 +149,7 @@ class ColumnarSpeedValidator(SpeedValidator):
                 + (0.0 if a.floor == b.floor else math.inf),
                 None,
             )
-        nodes_a = topology._nav_nodes_by_partition.get(part_a, [])
-        nodes_b = topology._nav_nodes_by_partition.get(part_b, [])
-        if not nodes_a or not nodes_b:
-            return math.inf, None
-        anchors = topology._nav_anchor
-        ax, ay = a.x, a.y
-        bx, by = b.x, b.y
-        exits = []
-        for node_b in nodes_b:
-            anchor = anchors[node_b]
-            exits.append((node_b, _hypot(anchor.x - bx, anchor.y - by)))
-        best = math.inf
-        best_pair = None
-        for node_a in nodes_a:
-            lengths = topology._lengths_from(node_a)
-            anchor = anchors[node_a]
-            entry = _hypot(ax - anchor.x, ay - anchor.y)
-            for node_b, exit_leg in exits:
-                through = lengths.get(node_b)
-                if through is None:
-                    continue
-                total = entry + through + exit_leg
-                if total < best:
-                    best = total
-                    best_pair = (node_a, node_b)
-        return best, best_pair
+        return self.topology._door_route(part_a, part_b, a, b)
 
     def walking_path(self, start: Point, goal: Point) -> list[Point]:
         """``Topology.walking_path`` over the session-located route."""
@@ -247,13 +227,19 @@ class ColumnarSplitter(DensitySplitter):
             floors.append(location.floor)
         eps_space = cfg.eps_space
         eps_time = cfg.eps_time
+        min_pts = cfg.min_pts
+        core_span = cfg.core_span
         flags = [False] * n
         for i in range(n):
+            # The scan stops as soon as the record is core.  That is exact:
+            # a sequence's records are time-sorted, so count and
+            # last - first only grow as either expansion goes on.
             count = 1  # the record itself
             first = last = timestamps[i]
             xi = xs[i]
             yi = ys[i]
             floor_i = floors[i]
+            core = False
             j = i + 1
             while (
                 j < n
@@ -263,18 +249,23 @@ class ColumnarSplitter(DensitySplitter):
             ):
                 last = timestamps[j]
                 count += 1
+                if count >= min_pts and last - first >= core_span:
+                    core = True
+                    break
                 j += 1
             j = i - 1
             while (
-                j >= 0
+                not core
+                and j >= 0
                 and floors[j] == floor_i
                 and _hypot(xi - xs[j], yi - ys[j]) <= eps_space
                 and timestamps[j + 1] - timestamps[j] <= eps_time
             ):
                 first = timestamps[j]
                 count += 1
+                core = count >= min_pts and last - first >= core_span
                 j -= 1
-            flags[i] = count >= cfg.min_pts and last - first >= cfg.core_span
+            flags[i] = core
         return flags
 
 

@@ -431,7 +431,8 @@ class LocatorSession:
         xs = batch.column("xs")
         ys = batch.column("ys")
         floors = batch.column("floors")
-        for floor in _np.unique(floors).tolist():
+        # Not np.unique: its first call imports numpy.ma (~10 ms).
+        for floor in sorted(set(batch.floors)):
             rows = _np.nonzero(floors == floor)[0]
             self._prime_floor(floor, xs[rows], ys[rows])
 
@@ -471,10 +472,16 @@ class LocatorSession:
             )
         )
         if locator._regions_separable:
-            # One ranking per distinct (partition, containing shapes) pair.
-            distinct, inverse = _np.unique(
-                combos[~open_rows], axis=0, return_inverse=True
+            # One ranking per distinct (partition, containing shapes) pair,
+            # grouped by row bytes (faster than ``axis=0``; order is moot).
+            combos = _np.ascontiguousarray(combos[~open_rows])
+            row_bytes = combos.dtype.itemsize * combos.shape[1]
+            _, first, inverse = _np.unique(
+                combos.view(_np.dtype((_np.void, row_bytes))).ravel(),
+                return_index=True,
+                return_inverse=True,
             )
+            distinct = combos[first]
             primaries = []
             for winner, *hit in distinct.tolist():
                 found = {entry.key: True for entry in compress(shapes, hit)}

@@ -10,7 +10,9 @@ as they use a more condensed form compared to the raw positioning records".
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any, Iterator
 
@@ -270,9 +272,7 @@ class MobilitySemanticsSequence:
 
     def save_json(self, path: str | Path) -> None:
         """Write the sequence as a translation-result JSON file (step 4)."""
-        Path(path).write_text(
-            json.dumps(self.to_dict(), indent=2), encoding="utf-8"
-        )
+        Path(path).write_text(dumps_indented(self.to_dict()), encoding="utf-8")
 
     @classmethod
     def load_json(cls, path: str | Path) -> "MobilitySemanticsSequence":
@@ -282,3 +282,30 @@ class MobilitySemanticsSequence:
 
     def __str__(self) -> str:
         return f"semantics({self.device_id}: {len(self.semantics)} triplets)"
+
+
+def dumps_indented(value: Any, indent: str = "\n") -> str:
+    """``json.dumps(value, indent=2)``, byte for byte, for str-keyed dicts,
+    lists and scalars, at one join per container instead of the standard
+    library's pure-Python generator per nesting level."""
+    kind = type(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is float and math.isfinite(value):
+        return float.__repr__(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    inner = indent + "  "
+    if kind is dict and value:
+        items = [
+            f"{encode_basestring_ascii(key)}: {dumps_indented(item, inner)}"
+            for key, item in value.items()
+        ]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if (kind is list or kind is tuple) and value:
+        if all(type(item) is int for item in value):
+            items = map(int.__repr__, value)
+        else:
+            items = [dumps_indented(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    return json.dumps(value)

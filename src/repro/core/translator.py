@@ -22,7 +22,6 @@ barrier into a cheap shard merge.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -44,7 +43,7 @@ from .complementing import (
     MobilitySemanticsComplementor,
     PartialKnowledge,
 )
-from .semantics import MobilitySemanticsSequence
+from .semantics import MobilitySemanticsSequence, dumps_indented
 
 
 @dataclass(frozen=True)
@@ -107,7 +106,7 @@ class TranslationResult:
             },
             "semantics": self.semantics.to_dict()["semantics"],
         }
-        Path(path).write_text(json.dumps(payload, indent=2), encoding="utf-8")
+        Path(path).write_text(dumps_indented(payload), encoding="utf-8")
 
 
 @dataclass(frozen=True)

@@ -16,11 +16,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
+from itertools import count
 
 import networkx as nx
 
 from ..errors import DSMError
-from ..geometry import Point, shape_contains, shape_distance_to_point
+from ..geometry import Point, shape_bounds, shape_contains, shape_distance_to_point
 from .entities import EntityKind, IndoorEntity
 from .model import DigitalSpaceModel
 
@@ -73,11 +75,25 @@ class Topology:
     # Construction steps
     # ------------------------------------------------------------------
     def _attach_doors(self) -> None:
+        tolerance = self.door_attach_tolerance
+        partitions_by_floor: dict[int, list[IndoorEntity]] = {}
+        for partition in self.model.partitions():
+            partitions_by_floor.setdefault(partition.floor, []).append(partition)
         for door in self.model.doors():
+            anchor = door.anchor
             candidates: list[tuple[float, str]] = []
-            for partition in self.model.partitions(door.floor):
-                dist = shape_distance_to_point(partition.shape, door.anchor)
-                if dist <= self.door_attach_tolerance:
+            for partition in partitions_by_floor.get(door.floor, ()):
+                # Farther than the tolerance on one axis cannot attach.
+                box = shape_bounds(partition.shape)
+                if (
+                    box.min_x - anchor.x > tolerance
+                    or anchor.x - box.max_x > tolerance
+                    or box.min_y - anchor.y > tolerance
+                    or anchor.y - box.max_y > tolerance
+                ):
+                    continue
+                dist = shape_distance_to_point(partition.shape, anchor)
+                if dist <= tolerance:
                     candidates.append((dist, partition.entity_id))
             candidates.sort()
             connected = tuple(pid for _, pid in candidates[:2])
@@ -255,27 +271,10 @@ class Topology:
         if part_a is None or part_b is None:
             return math.inf, []
         if part_a == part_b:
-            return start.planar_distance_to(goal) + self._floor_penalty(
-                start, goal
-            ), [start, goal]
-        nodes_a = self._nav_nodes_by_partition.get(part_a, [])
-        nodes_b = self._nav_nodes_by_partition.get(part_b, [])
-        if not nodes_a or not nodes_b:
-            return math.inf, []
-        best = math.inf
-        best_pair: tuple[str, str] | None = None
-        for node_a in nodes_a:
-            lengths = self._lengths_from(node_a)
-            entry = start.planar_distance_to(self._nav_anchor[node_a])
-            for node_b in nodes_b:
-                through = lengths.get(node_b)
-                if through is None:
-                    continue
-                exit_leg = self._nav_anchor[node_b].planar_distance_to(goal)
-                total = entry + through + exit_leg
-                if total < best:
-                    best = total
-                    best_pair = (node_a, node_b)
+            # Same partition implies same floor in practice; guard anyway.
+            floor_penalty = 0.0 if start.floor == goal.floor else math.inf
+            return start.planar_distance_to(goal) + floor_penalty, [start, goal]
+        best, best_pair = self._door_route(part_a, part_b, start, goal)
         if best_pair is None:
             return math.inf, []
         if not want_path:
@@ -287,9 +286,37 @@ class Topology:
     def _lengths_from(self, node: str) -> dict[str, float]:
         cached = self._dijkstra_cache.get(node)
         if cached is None:
-            cached = nx.single_source_dijkstra_path_length(self.nav_graph, node)
+            cached = _dijkstra_lengths(self.nav_graph._adj, node)
             self._dijkstra_cache[node] = cached
         return cached
+
+    def _door_route(
+        self, part_a: str, part_b: str, start: Point, goal: Point
+    ) -> tuple[float, tuple[str, str] | None]:
+        """The shortest ``entry + through + exit_leg`` between two distinct
+        partitions and its ``(node_a, node_b)`` pair (``None`` if none).
+        Each exit leg is measured once per ``node_b``, not once per pair;
+        the strict ``<`` keeps the first best pair in loop order."""
+        nodes_b = self._nav_nodes_by_partition.get(part_b, [])
+        anchors = self._nav_anchor
+        # planar_distance_to's own hypot of the same differences.
+        gx, gy, sx, sy = goal.x, goal.y, start.x, start.y
+        exits = [math.hypot(anchors[n].x - gx, anchors[n].y - gy) for n in nodes_b]
+        best = math.inf
+        best_pair: tuple[str, str] | None = None
+        for node_a in self._nav_nodes_by_partition.get(part_a, []) if nodes_b else ():
+            lengths = self._lengths_from(node_a)
+            anchor = anchors[node_a]
+            entry = math.hypot(sx - anchor.x, sy - anchor.y)
+            for node_b, exit_leg in zip(nodes_b, exits):
+                through = lengths.get(node_b)
+                if through is None:
+                    continue
+                total = entry + through + exit_leg
+                if total < best:
+                    best = total
+                    best_pair = (node_a, node_b)
+        return best, best_pair
 
     def _locate(self, point: Point, snap_distance: float = 5.0) -> str | None:
         partition = self.model.partition_at(point)
@@ -299,11 +326,6 @@ class Topology:
         if snapped is None:
             return None
         return snapped[0].entity_id
-
-    @staticmethod
-    def _floor_penalty(start: Point, goal: Point) -> float:
-        # Same partition implies same floor in practice; guard anyway.
-        return 0.0 if start.floor == goal.floor else math.inf
 
     # ------------------------------------------------------------------
     # Region queries (used by the complementing layer)
@@ -371,3 +393,26 @@ class Topology:
             f"{len(self.door_connections)} doors, "
             f"{self.region_graph.number_of_nodes()} regions)"
         )
+
+
+def _dijkstra_lengths(adjacency: dict, source: str) -> dict[str, float]:
+    """``nx.single_source_dijkstra_path_length`` over a graph's ``_adj``:
+    networkx's own loop (``(distance, counter, node)`` heap, adjacency
+    order, strict ``<``, ``distance + weight``) without its per-edge
+    callback, so the dict is equal key for key, in order, bit for bit.
+    Weights are non-negative: a settled node is never improved."""
+    dist: dict[str, float] = {}
+    seen = {source: 0}
+    tie = count()
+    fringe = [(0, next(tie), source)]
+    while fringe:
+        dist_v, _, v = heappop(fringe)
+        if v in dist:
+            continue
+        dist[v] = dist_v
+        for u, data in adjacency[v].items():
+            vu_dist = dist_v + data.get("weight", 1)
+            if u not in seen or vu_dist < seen[u]:
+                seen[u] = vu_dist
+                heappush(fringe, (vu_dist, next(tie), u))
+    return dist

@@ -53,14 +53,34 @@ class CsvFileSource:
     def iter_records(self) -> Iterator[RawPositioningRecord]:
         try:
             with open(self.path, newline="", encoding="utf-8") as handle:
-                reader = csv.DictReader(handle)
-                missing = set(CSV_COLUMNS) - set(reader.fieldnames or ())
+                reader = csv.reader(handle)
+                # A repeated column resolves to its last occurrence, as in a dict.
+                index = {name: i for i, name in enumerate(next(reader, ()))}
+                missing = set(CSV_COLUMNS) - set(index)
                 if missing:
                     raise DataSourceError(
                         f"{self.path}: missing CSV columns {sorted(missing)}"
                     )
-                for line_number, row in enumerate(reader, start=2):
-                    yield _record_from_row(row, f"{self.path}:{line_number}")
+                d, x, y, f, t = (index[name] for name in CSV_COLUMNS)
+                # Blank rows are skipped and not counted in line numbers.
+                line_number = 1
+                for row in reader:
+                    if not row:
+                        continue
+                    line_number += 1
+                    try:
+                        timestamp = float(row[t])
+                        device_id = row[d]
+                        location = Point(float(row[x]), float(row[y]), int(row[f]))
+                    except IndexError:
+                        raise DataSourceError(
+                            f"{self.path}:{line_number}: short row {row!r}"
+                        ) from None
+                    except ValueError as exc:
+                        raise DataSourceError(
+                            f"{self.path}:{line_number}: bad record fields: {exc}"
+                        ) from exc
+                    yield RawPositioningRecord(timestamp, device_id, location)
         except OSError as exc:
             raise DataSourceError(f"cannot read {self.path}: {exc}") from exc
 

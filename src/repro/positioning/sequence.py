@@ -9,6 +9,7 @@ needs, plus gap splitting and time slicing for the Data Selector.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterator
 
 from ..errors import DataSourceError
@@ -27,7 +28,7 @@ class PositioningSequence:
     def __init__(
         self, device_id: str, records: list[RawPositioningRecord] | tuple
     ):
-        records = tuple(sorted(records, key=lambda r: r.timestamp))
+        records = tuple(sorted(records, key=attrgetter("timestamp")))
         if not records:
             raise DataSourceError(f"empty sequence for device {device_id!r}")
         for record in records:

@@ -26,8 +26,10 @@ identical, float bits included.  This suite proves it differentially:
 
 from __future__ import annotations
 
+import math
 import struct
 
+import networkx as nx
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
@@ -36,9 +38,14 @@ from repro.buildings import MallConfig, build_mall
 from repro.columnar import RecordBatch, run_phase_one_chunk_columnar
 from repro.columnar import locate as columnar_locate
 from repro.columnar import pipeline as columnar_pipeline
-from repro.columnar.kernels import ColumnarCleaner, ColumnarSpeedValidator
+from repro.columnar.kernels import (
+    ColumnarCleaner,
+    ColumnarSpeedValidator,
+    ColumnarSplitter,
+)
 from repro.core import Translator
-from repro.core.cleaning import CleaningConfig, RawDataCleaner
+from repro.core.annotation import DensitySplitter, SplitterConfig
+from repro.core.cleaning import CleaningConfig, RawDataCleaner, SpeedValidator
 from repro.core.complementing import PartialKnowledge
 from repro.core.translator import (
     assemble_results,
@@ -899,6 +906,29 @@ class TestSessionNearestPartition:
 route_point = st.tuples(wide_coordinate, wide_coordinate, st.sampled_from([1, 1, 2]))
 
 
+def naive_door_search(topology, start: Point, goal: Point):
+    """The door search as ``Topology._route`` first wrote it: every
+    ``(node_a, node_b)`` pair, its exit leg measured inside the pair loop,
+    networkx's own path lengths."""
+    part_a = topology._locate(start)
+    part_b = topology._locate(goal)
+    if part_a is None or part_b is None or part_a == part_b:
+        return None
+    best, best_pair = math.inf, None
+    for node_a in topology._nav_nodes_by_partition.get(part_a, []):
+        lengths = nx.single_source_dijkstra_path_length(topology.nav_graph, node_a)
+        entry = start.planar_distance_to(topology._nav_anchor[node_a])
+        for node_b in topology._nav_nodes_by_partition.get(part_b, []):
+            through = lengths.get(node_b)
+            if through is None:
+                continue
+            exit_leg = topology._nav_anchor[node_b].planar_distance_to(goal)
+            total = entry + through + exit_leg
+            if total < best:
+                best, best_pair = total, (node_a, node_b)
+    return best, best_pair
+
+
 class TestHoistedRouteSearch:
     @given(start=route_point, goal=route_point)
     @settings(
@@ -914,9 +944,41 @@ class TestHoistedRouteSearch:
             topology, 2.5, mixed_locator.session()
         )
         a, b = Point(*start), Point(*goal)
-        distance, _ = validator._route(a, b)
+        distance, pair = validator._route(a, b)
         assert distance.hex() == topology.walking_distance(a, b).hex()
         assert validator.walking_path(a, b) == topology.walking_path(a, b)
+        naive = naive_door_search(topology, a, b)
+        if naive is not None:
+            assert (distance.hex(), pair) == (naive[0].hex(), naive[1])
+
+    @given(
+        start=route_point,
+        goal=route_point,
+        elapsed=st.sampled_from([0.0, -1.0, 1e-3, 2.0, 8.0, 400.0]),
+    )
+    @settings(
+        max_examples=300,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_fused_straight_move_verdict_matches(
+        self, mixed_locator, start, goal, elapsed
+    ):
+        """The inline straight-move verdict and the inherited chain it
+        falls back to decide every pair as ``SpeedValidator`` does,
+        simultaneous and backwards fixes included."""
+        topology = mixed_locator.model.topology
+        validator = ColumnarSpeedValidator(
+            topology, 2.5, mixed_locator.session()
+        )
+        previous = RawPositioningRecord(100.0, "d", Point(*start))
+        current = RawPositioningRecord(100.0 + elapsed, "d", Point(*goal))
+        reference = SpeedValidator(topology, 2.5)
+        same_spot = RawPositioningRecord(100.0, "d", Point(*start))
+        for pair in ((previous, current), (current, previous), (previous, same_spot)):
+            assert validator.transition_feasible(
+                *pair
+            ) == reference.transition_feasible(*pair)
 
     def test_mall_routes_match(self, mall):
         """Multi-door, multi-stack routes on the benchmark building."""
@@ -936,11 +998,12 @@ class TestHoistedRouteSearch:
                 )
                 for _ in range(2)
             )
-            assert (
-                validator._route(a, b)[0].hex()
-                == topology.walking_distance(a, b).hex()
-            )
+            distance, pair = validator._route(a, b)
+            assert distance.hex() == topology.walking_distance(a, b).hex()
             assert validator.walking_path(a, b) == topology.walking_path(a, b)
+            naive = naive_door_search(topology, a, b)
+            if naive is not None:
+                assert (distance.hex(), pair) == (naive[0].hex(), naive[1])
 
 
 dirty_point = st.one_of(
@@ -1080,6 +1143,83 @@ def test_locator_cache_is_thread_safe(monkeypatch):
 # ----------------------------------------------------------------------
 # One pipeline: no selector, and the reference stays the reference
 # ----------------------------------------------------------------------
+def full_scan_core_flags(records, config: SplitterConfig) -> list[bool]:
+    """The core-flag loop without the early exit: both expansions run to
+    their end before the record is judged."""
+    flags = []
+    for i, record in enumerate(records):
+        count = 1
+        first = last = record.timestamp
+        j = i + 1
+        while (
+            j < len(records)
+            and records[j].floor == record.floor
+            and math.hypot(
+                record.location.x - records[j].location.x,
+                record.location.y - records[j].location.y,
+            )
+            <= config.eps_space
+            and records[j].timestamp - records[j - 1].timestamp <= config.eps_time
+        ):
+            last = records[j].timestamp
+            count += 1
+            j += 1
+        j = i - 1
+        while (
+            j >= 0
+            and records[j].floor == record.floor
+            and math.hypot(
+                record.location.x - records[j].location.x,
+                record.location.y - records[j].location.y,
+            )
+            <= config.eps_space
+            and records[j + 1].timestamp - records[j].timestamp <= config.eps_time
+        ):
+            first = records[j].timestamp
+            count += 1
+            j -= 1
+        flags.append(count >= config.min_pts and last - first >= config.core_span)
+    return flags
+
+
+# Lattice points at exactly 5.0 from one another ((0,0)-(3,4), (3,4)-(6,8),
+# (0,0)-(5,0), (5,0)-(10,0), ...), a hair past it, and well inside it.
+core_point = st.sampled_from(
+    [(0.0, 0.0), (3.0, 4.0), (-3.0, 4.0), (5.0, 0.0), (6.0, 8.0),
+     (10.0, 0.0), (3.0, 4.000000000000001), (1.0, 2.0), (0.5, 0.5)]
+)
+# Steps exactly at eps_time (10.0), a hair past it, zero and in between.
+core_step = st.sampled_from([0.0, 2.5, 5.0, 10.0, 10.000000000000002, 12.0])
+
+
+class TestCoreFlagEarlyExit:
+    @given(
+        fixes=st.lists(
+            st.tuples(core_step, core_point, st.sampled_from([1, 1, 1, 2])),
+            min_size=1,
+            max_size=40,
+        ),
+        min_pts=st.integers(2, 6),
+        core_span=st.sampled_from([2.5, 10.0, 20.0, 30.0]),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_early_exit_equals_full_scan(self, fixes, min_pts, core_span):
+        """Stopping a record's scan once it is core decides every flag as
+        the full scan does, at the exact ``eps_space`` / ``eps_time``
+        boundaries and across floor switches."""
+        config = SplitterConfig(
+            eps_space=5.0, eps_time=10.0, min_pts=min_pts, core_span=core_span
+        )
+        records, clock = [], 0.0
+        for step, (x, y), floor in fixes:
+            clock += step
+            records.append(RawPositioningRecord(clock, "d", Point(x, y, floor)))
+        records = PositioningSequence("d", records).records
+        expected = full_scan_core_flags(records, config)
+        assert ColumnarSplitter(config)._core_flags(records) == expected
+        assert DensitySplitter(config)._core_flags(records) == expected
+
+
 class TestRecordLayoutConfig:
     def test_known_layouts(self, monkeypatch):
         """Columnar is a constant the ledger's re-drive reads, not a

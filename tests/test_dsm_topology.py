@@ -2,16 +2,23 @@
 
 import math
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.buildings import MallConfig, build_airport, build_mall, build_office
 from repro.dsm import (
     DigitalSpaceModel,
     EntityKind,
     IndoorEntity,
     Topology,
 )
+from repro.dsm.topology import _dijkstra_lengths
 from repro.errors import DSMError
-from repro.geometry import Point, Polygon
+from repro.geometry import Point, Polygon, shape_distance_to_point
+
+from .conftest import make_two_shop_dsm
 
 
 class TestDoorAttachment:
@@ -190,3 +197,98 @@ class TestTopologyCaching:
 
     def test_topology_cached_between_reads(self, two_shop):
         assert two_shop.topology is two_shop.topology
+
+
+def _typed_hex(lengths: dict) -> list:
+    """Key, type and exact bits of every distance, in dict order."""
+    return [(key, type(value), float(value).hex()) for key, value in lengths.items()]
+
+
+class TestLeanDijkstra:
+    """``Topology._lengths_from`` runs its own Dijkstra over the nav graph;
+    networkx's is the oracle, compared key for key, in order, by bits."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: build_mall(MallConfig(floors=3)), build_office, build_airport],
+        ids=["mall", "office", "airport"],
+    )
+    def test_equals_networkx_from_every_nav_node(self, build):
+        topology = build().topology
+        graph = topology.nav_graph
+        assert graph.number_of_nodes() > 10
+        for node in graph:
+            expected = nx.single_source_dijkstra_path_length(graph, node)
+            assert _typed_hex(topology._lengths_from(node)) == _typed_hex(expected)
+
+    @given(
+        edges=st.lists(
+            st.tuples(
+                st.integers(0, 9), st.integers(0, 9), st.integers(0, 4)
+            ),
+            max_size=40,
+        ),
+        source=st.integers(0, 9),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_equals_networkx_on_tied_integer_weights(self, edges, source):
+        """Small integer weights make equal-length paths common, so the
+        counter tie-break and the strict ``<`` decide the order."""
+        graph = nx.Graph()
+        graph.add_nodes_from(f"n{i}" for i in range(10))
+        for a, b, weight in edges:
+            graph.add_edge(f"n{a}", f"n{b}", weight=weight)
+        expected = nx.single_source_dijkstra_path_length(graph, f"n{source}")
+        found = _dijkstra_lengths(graph._adj, f"n{source}")
+        assert list(found.items()) == list(expected.items())
+        assert [type(v) for v in found.values()] == [
+            type(v) for v in expected.values()
+        ]
+
+
+def make_gapped_dsm() -> DigitalSpaceModel:
+    """Two rooms a 1 m wall gap apart, with door anchors in the gap, off
+    a corner and past a room's edge: each lies outside some room's box by
+    less than the attach tolerance on one or both axes, or by more."""
+    model = DigitalSpaceModel(name="gapped")
+    for entity_id, x in (("west", 0.0), ("east", 11.0)):
+        model.add_entity(
+            IndoorEntity(entity_id, EntityKind.ROOM, Polygon.rectangle(x, 0, x + 10, 10))
+        )
+    for index, (x, y) in enumerate(
+        [(10.5, 5), (10.9, 5), (10.1, 5), (5, 10.6), (5, 10.8), (10.4, 10.4),
+         (-0.7, -0.7), (21.5, 3)]
+    ):
+        model.add_entity(IndoorEntity(f"door-{index}", EntityKind.DOOR, Point(x, y)))
+    return model
+
+
+class TestDoorAttachmentSkip:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: build_mall(MallConfig(floors=3)),
+            build_office,
+            build_airport,
+            make_two_shop_dsm,
+            make_gapped_dsm,
+        ],
+        ids=["mall", "office", "airport", "two-shop", "gapped"],
+    )
+    def test_bounding_box_skip_changes_no_door(self, build):
+        """``door_connections`` equals a scan that measures every partition
+        of the door's floor, as the build did before it skipped far boxes."""
+        model = build()
+        topology = model.topology
+        tolerance = topology.door_attach_tolerance
+        expected = {}
+        for door in model.doors():
+            candidates = sorted(
+                (shape_distance_to_point(p.shape, door.anchor), p.entity_id)
+                for p in model.partitions(door.floor)
+                if shape_distance_to_point(p.shape, door.anchor) <= tolerance
+            )
+            expected[door.entity_id] = tuple(pid for _, pid in candidates[:2])
+        assert topology.door_connections == expected
+        assert list(topology.door_connections) == list(expected)
+        assert any(len(connected) == 2 for connected in expected.values())

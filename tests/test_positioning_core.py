@@ -1,5 +1,8 @@
 """Unit tests for records, sequences, IO sources and streams."""
 
+import csv
+import re
+
 import pytest
 
 from repro.errors import DataSourceError
@@ -16,6 +19,7 @@ from repro.positioning import (
     write_csv,
     write_jsonl,
 )
+from repro.positioning.io import _record_from_row
 from repro.timeutil import TimeRange
 
 from .conftest import walk_sequence
@@ -151,6 +155,59 @@ class TestFileSources:
         path = tmp_path / "bad.csv"
         path.write_text("device_id,x,y,floor,timestamp\nd,oops,2,1,0\n")
         with pytest.raises(DataSourceError):
+            list(CsvFileSource(path).iter_records())
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # reordered columns
+            "timestamp,floor,y,x,device_id\n5.5,2,1.25,3.5,d1\n7,1,-2,4,d2\n",
+            # extra columns, before, between and after the canonical ones
+            "note,device_id,x,rssi,y,floor,timestamp,extra\n"
+            "a,d1,1.5,-70,2.5,1,10.125,z\nb,d2,3,-71,4,2,11,\n",
+            # blank lines between, after and around rows
+            "device_id,x,y,floor,timestamp\n\nd1,1,2,1,0\n\n\nd1,2,2,1,5\n\n",
+            # CRLF line endings, a quoted field and a blank CRLF line
+            'device_id,x,y,floor,timestamp\r\n"d,1",1,2,1,0\r\n\r\nd2,2,2,3,5\r\n',
+            # a repeated column: the last occurrence wins
+            "device_id,x,y,floor,timestamp,x\nd1,1,2,1,0,9\n",
+        ],
+        ids=["reordered", "extra-columns", "blank-lines", "crlf", "repeated"],
+    )
+    def test_csv_reader_matches_dict_reader(self, tmp_path, text):
+        """Differential: the positional reader yields what a header-keyed
+        ``csv.DictReader`` row through ``_record_from_row`` yields."""
+        path = tmp_path / "data.csv"
+        path.write_bytes(text.encode("utf-8"))
+        with open(path, newline="", encoding="utf-8") as handle:
+            expected = [
+                _record_from_row(row, f"{path}:{line}")
+                for line, row in enumerate(csv.DictReader(handle), start=2)
+            ]
+        found = list(CsvFileSource(path).iter_records())
+        assert found == expected
+        assert [
+            (r.timestamp.hex(), r.location.x.hex(), r.location.y.hex())
+            for r in found
+        ] == [
+            (r.timestamp.hex(), r.location.x.hex(), r.location.y.hex())
+            for r in expected
+        ]
+
+    def test_csv_short_row_names_path_and_line(self, tmp_path):
+        # Line numbers count the header and the data rows; blank rows are
+        # skipped and not counted.
+        path = tmp_path / "short.csv"
+        path.write_text(
+            "device_id,x,y,floor,timestamp\nd,1,2,1,0\n\nd,1,2\n"
+        )
+        with pytest.raises(DataSourceError, match=re.escape(f"{path}:3: short row")):
+            list(CsvFileSource(path).iter_records())
+
+    def test_csv_bad_field_names_path_and_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("device_id,x,y,floor,timestamp\nd,1,2,1,0\nd,1,2,1.5,5\n")
+        with pytest.raises(DataSourceError, match=re.escape(f"{path}:3: bad record fields")):
             list(CsvFileSource(path).iter_records())
 
     def test_jsonl_malformed_line(self, tmp_path):

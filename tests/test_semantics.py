@@ -1,5 +1,7 @@
 """Unit tests for the mobility-semantics data model (Table 1)."""
 
+import json
+
 import pytest
 
 from repro.core.semantics import (
@@ -7,6 +9,7 @@ from repro.core.semantics import (
     EVENT_STAY,
     MobilitySemantic,
     MobilitySemanticsSequence,
+    dumps_indented,
 )
 from repro.errors import AnnotationError
 from repro.timeutil import TimeRange, parse_clock
@@ -193,3 +196,24 @@ class TestMerging:
         empty = MobilitySemanticsSequence("d", [])
         assert len(empty.merged_consecutive()) == 0
         assert len(empty.merged_same_region()) == 0
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        {},
+        [],
+        {"a": [], "b": {}, "c": ()},
+        [1, True, False, None, 2.5, -0.0, 1e300, 10**20, "é\n\"x"],
+        [float("nan"), float("inf"), -float("inf")],
+        {"record_indexes": [0, 1, 2], "nested": [[1, 2], [3], [True, 1]]},
+        (1, (2, [3, {"b": (4,)}])),
+        [{"a": [0]}, {"é": "ü"}],
+        3,
+        "s",
+        None,
+        0.1,
+    ],
+)
+def test_dumps_indented_equals_json_dumps(value):
+    assert dumps_indented(value) == json.dumps(value, indent=2)
